@@ -246,19 +246,3 @@ def cogroup_join(left_ds, right_ds, left_on: str, right_on: str,
         return out.rename(columns=dict(zip(lsel + rsel, left_cols + right_cols)))
 
     return unioned.groupby("__b").map_groups(merge, batch_format="pandas")
-
-
-def join_partitions(requested: int | None = None, per_cpu: float = 0.5, cap: int = 64) -> int:
-    """Shuffle partition count for ``Dataset.join`` derived from cluster
-    width. The hash-shuffle join reserves aggregator resources per
-    partition; asking for more partitions than the cluster can host
-    DEADLOCKS a multi-join DAG on small CPU counts (observed at
-    num_partitions=8 on a 4-CPU session), so the default scales with
-    ``cluster_resources`` instead of being a constant.
-    """
-    if requested is not None:
-        return requested
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, min(cap, int(cpus * per_cpu)))

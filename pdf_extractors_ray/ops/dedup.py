@@ -112,10 +112,6 @@ def _md5_64(s: str) -> int:
     return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
 
 
-def _md5_32(s: str) -> int:
-    return int.from_bytes(hashlib.md5(s.encode()).digest()[:4], "little")
-
-
 def word_shingles(text: str, n: int = 3) -> set[str]:
     toks = text.split()
     if len(toks) < n:
@@ -244,26 +240,6 @@ def minhash_band_rows(batch: pd.DataFrame) -> pd.DataFrame:
             "doc_id": np.repeat(batch["doc_id"].to_numpy(np.int64), _BANDS),
         }
     )
-
-
-class MinHasher:
-    """Actor-pool wrapper around ``minhash_band_rows`` with a per-actor
-    cache (kept for callers that want pool-scoped cache lifetime)."""
-
-    def __init__(self) -> None:
-        self.cache: dict[str, int] = {}
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        n = len(batch)
-        sigs = minhash_signatures(list(batch["text"]), _cache=self.cache)
-        keys = band_keys(sigs) if n else np.empty((0, _BANDS), dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "band": np.tile(np.arange(_BANDS, dtype=np.int64), n),
-                "band_key": keys.reshape(-1),
-                "doc_id": np.repeat(batch["doc_id"].to_numpy(np.int64), _BANDS),
-            }
-        )
 
 
 def _pair_table(a, b, **extra):
@@ -597,16 +573,6 @@ def simhash_rows(batch: pd.DataFrame, cache: dict) -> pd.DataFrame:
             "band3": [(h >> 48) & 0xFFFF for h in hs],
         }
     )
-
-
-class SimHasher:
-    """Actor stage: per-batch simhash with a per-actor token-hash cache."""
-
-    def __init__(self) -> None:
-        self.cache: dict[str, int] = {}
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return simhash_rows(batch, self.cache)
 
 
 _TOKEN_CACHE: dict[str, int] = {}

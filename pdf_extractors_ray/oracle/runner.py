@@ -71,12 +71,3 @@ def run_census(tbl: pa.Table) -> tuple[pd.DataFrame, pd.DataFrame, pd.DataFrame]
             for p in persons.extract_persons_for_household(h):
                 person_rows.append({"conv_id": conv_id, **p})
     return pd.DataFrame(households_rows), pd.DataFrame(summary_rows), pd.DataFrame(person_rows)
-
-
-def run_all(tbl: pa.Table) -> dict[str, pd.DataFrame]:
-    out = {f: run_family(tbl, f) for f in CONV_FOLDS}
-    hh, summary, pers = run_census(tbl)
-    out["census_households"] = hh
-    out["census_summary"] = summary
-    out["census_persons"] = pers
-    return out

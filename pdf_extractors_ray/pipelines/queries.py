@@ -886,15 +886,6 @@ def _box_query(family: str, surrogate_fn=None):
     return run
 
 
-def _transcript_query(family: str):
-    def run(sf_dir: str):
-        path = transcripts_path_for_sf(sf_dir)
-        return extract.EXTRACTORS[family](path)
-
-    run.__name__ = f"extract_{family}"
-    return run
-
-
 def _grid_box_query(sf_dir: str):
     """Grid-synthesis detector path AND the region-crop path over the same
     raw-box corpus in one driver slot (M40 + M41; both pinned by the

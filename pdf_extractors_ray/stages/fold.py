@@ -117,24 +117,3 @@ def fold_conversations(ds, fold_fn: FoldFn, schema: pa.Schema, n_parts: int | No
     return ds.groupby("part_id").map_groups(
         lambda g: fold_group_table(g, fold_fn, schema), batch_format="pyarrow"
     )
-
-
-def make_group_fold(fold_fn: FoldFn, schema: pa.Schema):
-    """Per-conversation ``map_groups`` UDF (legacy fine-grained variant;
-    kept for direct single-conversation use)."""
-
-    def _fold_group(group: dict) -> pa.Table:
-        turn_idx = group["turn_idx"]
-        order = np.argsort(turn_idx, kind="stable")
-        texts = [
-            "" if t is None else str(t)
-            for t in np.asarray(group["text"], dtype=object)[order]
-        ]
-        idxs = [int(i) for i in np.asarray(turn_idx)[order]]
-        conv_id = str(group["conv_id"][0])
-        rows = fold_fn(texts, idxs)
-        for r in rows:
-            r["conv_id"] = conv_id
-        return rows_to_table(rows, schema)
-
-    return _fold_group

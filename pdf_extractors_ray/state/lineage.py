@@ -5,22 +5,26 @@ lineage + metrics … any partition can resume without recomputation".
 
 Design (SURVEY.md §4.2):
 
-- the partition IS the unit of shuffle, fold, output file and checkpoint:
-  ``part_id = md5(conv_id) % n_parts`` assigned vectorized at the read, so
-  a conversation always lands in the same partition across runs;
-- ONE ``groupby(part_id)`` co-locates each partition; the group UDF sorts
-  ``(conv_id, turn_idx)``, folds every conversation, writes
-  ``part-<id>.parquet`` atomically (tmp + rename) and a lineage sidecar
-  ``_lineage/part-<id>.json`` (input turn/conv counts, output rows,
-  extraction counters, content hash) — one sidecar per output file, not per
-  block, so 10^12-turn runs don't produce a small-file storm
-  (SURVEY.md §7.5 #7);
+- the PARTITION is the unit of output, checkpoint and retry-safe publish:
+  ``part_id = md5(conv_id) % n_parts`` is assigned vectorized at the read,
+  so a conversation always lands in the same partition across runs; each
+  partition is folded on its own and written as ``part-<id>.parquet``
+  (per family) through a pid-suffixed temp and an atomic rename, then ONE
+  lineage sidecar ``_lineage/part-<id>.json`` (input turn/conv counts,
+  output rows, extraction counters, content hashes) is written last — one
+  sidecar per partition, not per block, so 10^12-turn runs don't produce a
+  small-file storm (SURVEY.md §7.5 #7);
+- a GROUP of contiguous pending partitions is the unit of scheduling and
+  exchange on the task engine (``partitioned_extract_all_tasks``): one fold
+  task and one shard→fold object per group, so small runs don't pay Ray's
+  per-task and per-object overhead once per partition, while at the
+  design point a group degenerates to one partition (``_plan_groups``);
 - resume: completed part ids are read from the sidecars and their rows are
-  dropped by a vectorized filter BEFORE the shuffle — finished partitions
+  dropped by a vectorized filter BEFORE the exchange — finished partitions
   cost one pruned scan, zero recompute, zero rewrite.
 
-Writes are idempotent (atomic rename), so Ray task retries cannot corrupt
-output.
+Publishes are idempotent (deterministic bytes, atomic rename, sidecar
+last), so Ray task retries cannot corrupt output.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import accumulate
 
 import numpy as np
 import pandas as pd
@@ -155,6 +160,53 @@ def _list_parquet(path: str) -> list[str]:
     )
 
 
+def _publish(out_file: str, table: pa.Table) -> str:
+    """Encode ``table`` once in memory, hash those bytes, then land them as
+    ``out_file`` through a pid-suffixed temp and an atomic rename (a retried
+    task never collides with a live one). Returns the content hash."""
+    sink = pa.BufferOutputStream()
+    pq.write_table(table, sink)
+    data = sink.getvalue()
+    content_hash = hashlib.md5(data).hexdigest()
+    tmp = f"{out_file}.tmp{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, out_file)
+    return content_hash
+
+
+def _write_sidecar(out_root: str, part_id: int, sidecar: dict) -> None:
+    """Publish the partition's lineage sidecar — last, after its files."""
+    ldir = _lineage_dir(out_root)
+    tmp = os.path.join(ldir, f"part-{part_id}.json.tmp{os.getpid()}")
+    with open(tmp, "w") as fh:
+        json.dump(sidecar, fh)
+    os.replace(tmp, os.path.join(ldir, f"part-{part_id}.json"))
+
+
+def _metrics_row(part_id: int, n_turns: int, families: dict, resumed: bool) -> dict:
+    """One all-family metrics row from a sidecar's ``families`` map."""
+    fams = families.values()
+    return {
+        "part_id": part_id,
+        "n_turns": n_turns,
+        "n_convs": sum(f["n_convs"] for f in fams),
+        "n_rows": sum(f["n_rows"] for f in fams),
+        "content_hash": hashlib.md5("".join(f["content_hash"] for f in fams).encode()).hexdigest(),
+        "resumed": resumed,
+    }
+
+
+def _with_resumed(fresh: pd.DataFrame, out_root: str, done: set[int]) -> pd.DataFrame:
+    """Append the metrics rows of the partitions skipped on resume."""
+    skipped = [
+        _metrics_row(e["part_id"], e["n_turns"], e["families"], resumed=True)
+        for e in read_lineage(out_root)
+        if e["part_id"] in done and "families" in e
+    ]
+    return pd.concat([fresh, pd.DataFrame(skipped)], ignore_index=True) if skipped else fresh
+
+
 def partitioned_extract(path: str, family: str, out_dir: str, n_parts: int | None = 32):
     """Checkpointed extraction run; returns the per-partition metrics table.
 
@@ -175,6 +227,10 @@ def partitioned_extract(path: str, family: str, out_dir: str, n_parts: int | Non
         zero_copy_batch=True,
     )
 
+    def row(sidecar: dict, resumed: bool) -> dict:
+        keys = ("part_id", "n_turns", "n_convs", "n_rows", "content_hash")
+        return {**{k: sidecar[k] for k in keys}, "resumed": resumed}
+
     def write_partition(group: pa.Table) -> pd.DataFrame:
         part_id = int(group["part_id"][0].as_py())
         folded = list(fold_partition(group, families={family: (fold_fn, schema)}, derive_census=False))
@@ -183,53 +239,21 @@ def partitioned_extract(path: str, family: str, out_dir: str, n_parts: int | Non
         else:
             table, n_convs = schema.empty_table(), 0
         out_file = os.path.join(out_dir, f"part-{part_id:05d}.parquet")
-        tmp = out_file + ".tmp"
-        pq.write_table(table, tmp)
-        os.replace(tmp, out_file)  # atomic publish
-        with open(out_file, "rb") as fh:
-            content_hash = hashlib.md5(fh.read()).hexdigest()
         sidecar = {
             "part_id": part_id,
             "family": family,
             "n_turns": int(group.num_rows),
             "n_convs": n_convs,
             "n_rows": table.num_rows,
-            "content_hash": content_hash,
+            "content_hash": _publish(out_file, table),
             "output_file": os.path.basename(out_file),
         }
-        stmp = os.path.join(_lineage_dir(out_dir), f"part-{part_id}.json.tmp")
-        with open(stmp, "w") as fh:
-            json.dump(sidecar, fh)
-        os.replace(stmp, os.path.join(_lineage_dir(out_dir), f"part-{part_id}.json"))
-        return pd.DataFrame(
-            [
-                {
-                    "part_id": part_id,
-                    "n_turns": int(group.num_rows),
-                    "n_convs": n_convs,
-                    "n_rows": table.num_rows,
-                    "content_hash": content_hash,
-                    "resumed": False,
-                }
-            ]
-        )
+        _write_sidecar(out_dir, part_id, sidecar)
+        return pd.DataFrame([row(sidecar, resumed=False)])
 
     metrics = ds.groupby("part_id").map_groups(write_partition, batch_format="pyarrow")
     fresh = metrics.to_pandas()
-
-    skipped = []
-    for entry in read_lineage(out_dir):
-        if entry["part_id"] in done:
-            skipped.append(
-                {
-                    "part_id": entry["part_id"],
-                    "n_turns": entry["n_turns"],
-                    "n_convs": entry["n_convs"],
-                    "n_rows": entry["n_rows"],
-                    "content_hash": entry["content_hash"],
-                    "resumed": True,
-                }
-            )
+    skipped = [row(e, resumed=True) for e in read_lineage(out_dir) if e["part_id"] in done]
     return pd.concat([fresh, pd.DataFrame(skipped)], ignore_index=True) if skipped else fresh
 
 
@@ -350,9 +374,8 @@ def _shard_map(files: list[str], n_parts: int, done: frozenset) -> list[pa.Table
 
 
 def _fold_and_write(out_root: str, part_id: int, *slices) -> dict:
-    # slices arrive as varargs so Ray resolves every ObjectRef BEFORE
-    # scheduling this task — a task that ray.get()s inside would be
-    # scheduled early, block holding a worker, and starve the map stage
+    """Fold one partition from its per-shard slices and publish it: one
+    file per family, then the sidecar. Returns its metrics row."""
     nonempty = [t for t in slices if t.num_rows]
     group = pa.concat_tables(nonempty) if nonempty else None
     if group is None or group.num_rows == 0:
@@ -362,102 +385,151 @@ def _fold_and_write(out_root: str, part_id: int, *slices) -> dict:
     for family, table, n_turns, n_convs in fold_partition(group):
         fam_dir = os.path.join(out_root, family)
         os.makedirs(fam_dir, exist_ok=True)
-        out_file = os.path.join(fam_dir, f"part-{part_id:05d}.parquet")
-        tmp = out_file + f".tmp{os.getpid()}"
-        pq.write_table(table, tmp)
-        os.replace(tmp, out_file)
-        with open(out_file, "rb") as fh:
-            content_hash = hashlib.md5(fh.read()).hexdigest()
+        content_hash = _publish(os.path.join(fam_dir, f"part-{part_id:05d}.parquet"), table)
         sidecar["families"][family] = {
             "n_turns": n_turns, "n_convs": n_convs,
             "n_rows": table.num_rows, "content_hash": content_hash,
         }
-    stmp = os.path.join(_lineage_dir(out_root), f"part-{part_id}.json.tmp{os.getpid()}")
-    with open(stmp, "w") as fh:
-        json.dump(sidecar, fh)
-    os.replace(stmp, os.path.join(_lineage_dir(out_root), f"part-{part_id}.json"))
-    fams = sidecar["families"].values()
-    return {
-        "part_id": part_id,
-        "n_turns": int(group.num_rows),
-        "n_convs": sum(f["n_convs"] for f in fams),
-        "n_rows": sum(f["n_rows"] for f in fams),
-        "content_hash": hashlib.md5("".join(f["content_hash"] for f in fams).encode()).hexdigest(),
-        "resumed": False,
-    }
+    _write_sidecar(out_root, part_id, sidecar)
+    return _metrics_row(part_id, int(group.num_rows), sidecar["families"], resumed=False)
+
+
+# Fold tasks per cluster CPU while the pending input is small enough for
+# partitions to share a task. Swept over 1, 2, 4, 8, 16 on a 2-CPU local Ray
+# session on a 4-core VM (600 convs / 256 parts and 3,000 convs / 64 parts):
+# 1-8 within noise of each other, 16 clearly slower, 4 the best median on
+# the bulk corpus.
+_GROUPS_PER_CPU = 4
+
+
+def _plan_groups(pending: list[int], pending_bytes: int, cpus: int) -> list[list[int]]:
+    """Split the sorted pending part ids into contiguous groups, one fold
+    task each: ``min(pending, max(_GROUPS_PER_CPU × cpus,
+    ceil(pending_bytes / _TARGET_PART_BYTES)))`` groups of near-equal size.
+    At the design point ``n_parts`` is itself ``ceil(bytes / target)``, so
+    every group holds one partition and the per-task working set stays
+    bounded; at small scale partitions share a task instead of each paying
+    Ray's per-task and per-object overhead."""
+    if not pending:
+        return []
+    by_bytes = -(-pending_bytes // _TARGET_PART_BYTES)
+    n_tasks = min(len(pending), max(_GROUPS_PER_CPU * cpus, by_bytes))
+    size, extra = divmod(len(pending), n_tasks)
+    groups, lo = [], 0
+    for g in range(n_tasks):
+        hi = lo + size + (g < extra)
+        groups.append(pending[lo:hi])
+        lo = hi
+    return groups
+
+
+def _map_shard(shard_map, files: list[str], n_parts: int, done: frozenset,
+               groups: list[list[int]]):
+    """Shard map task: one exchange object per group — the group's
+    per-partition slices as ONE contiguous table plus their row counts.
+    One table, not a list of slices: Ray serializes every Arrow column
+    chunk through a Python-level reducer, which cost more than the fold
+    itself at 8 shards × 256 partitions."""
+    slices = shard_map(files, n_parts, done)
+    out = []
+    for g in groups:
+        parts = [slices[p] for p in g]
+        out.append((pa.concat_tables(parts).combine_chunks(), [t.num_rows for t in parts]))
+    return out if len(out) > 1 else out[0]  # num_returns=1 stores the bare value
+
+
+def _fold_group(fold_and_write, out_root: str, parts: list[int], *per_shard) -> list[dict]:
+    """Fold task: publish each partition of one group, in order, from the
+    same per-shard slices ``_shard_map`` produced.
+
+    The per-shard group objects arrive as varargs so Ray resolves every
+    ObjectRef BEFORE scheduling this task — a task that ray.get()s inside
+    would be scheduled early, block holding a worker, and starve the map
+    stage."""
+    cuts = [list(accumulate(counts, initial=0)) for _tbl, counts in per_shard]
+    rows = []
+    for i, p in enumerate(parts):
+        slices = [tbl.slice(c[i], c[i + 1] - c[i]) for (tbl, _counts), c in zip(per_shard, cuts)]
+        rows.append(fold_and_write(out_root, p, *slices))
+    return rows
 
 
 def partitioned_extract_all_tasks(path: str, out_root: str, n_parts: int | None = None):
-    """Task-based two-stage exchange variant of ``partitioned_extract_all``.
+    """ALL families, one read, one exchange expressed with Ray tasks — the
+    production/headline path. Returns the per-partition metrics DataFrame.
+
+    The partition is the unit of output, checkpoint and retry-safe publish
+    (``_fold_and_write``: same files, sidecars and hashes however the run
+    is scheduled). A group of contiguous pending partitions is the unit of
+    scheduling and exchange (``_plan_groups``):
+
+        shard map tasks (read files → assign part_id → split into n_parts
+        slices → one object per group) → one fold task per group, which
+        folds and publishes its partitions one after another from the
+        n_shards group objects it consumes from the object store.
+
+    So a run makes ``n_shards × n_groups`` exchange objects and ``n_groups``
+    fold tasks instead of ``n_shards × n_parts`` and ``n_parts``.
 
     Why not ``groupby(part_id)``: Ray Data's sort-based groupby is a full
     barrier (boundary sampling; no fold starts until every reduce slot is
-    final) and packs multiple partitions per ``map_groups`` task, halving
-    fold parallelism. Here the exchange is expressed directly with Ray
-    task primitives — the ONE place this engine drops below the Dataset
-    API, because the Dataset API cannot express a streaming key-exchange
-    whose reduce side starts per-partition:
+    final), and the Dataset API cannot express a key exchange whose reduce
+    side starts per task. Measured ~1.4x faster at 8 CPUs and ~1.6x at 32
+    CPUs than the Dataset groupby path on the bench corpus, with
+    byte-identical partition files.
 
-        shard map tasks (read files → assign part_id → ``num_returns=
-        n_parts`` slices) → one fold/write task per partition consuming
-        its n_shards slices directly from the object store.
-
-    Measured: ~1.4x faster at 8 CPUs and ~1.6x at 32 CPUs than the
-    Dataset groupby path on the bench corpus, with the same outputs,
-    sidecars and resume semantics (byte-identical partition files).
+    Resume: partitions with sidecars are filtered out in the shard map and
+    get no fold task; their metrics rows come from the sidecars.
     """
     import ray
 
-    from ..runtime import shuffle_num_blocks
+    from ..runtime import _cluster_cpus, shuffle_num_blocks
 
     files = _list_parquet(path)
     n_parts = _resolve_n_parts(out_root, files, n_parts)
     done = completed_parts(out_root)
+    pending = [p for p in range(n_parts) if p not in done]
+    # md5(conv_id) spreads input bytes evenly over the partitions
+    pending_bytes = sum(os.path.getsize(f) for f in files) * len(pending) // n_parts
+    groups = _plan_groups(pending, pending_bytes, _cluster_cpus())
 
-    n_shards = min(len(files), shuffle_num_blocks())
-    shards = [list(files[i::n_shards]) for i in range(n_shards)]
-
-    shard_map = ray.remote(_shard_map).options(num_returns=n_parts)
-    # retry_exceptions: a fold that dies with a Python exception (transient
-    # FS error, allocator failure) retries like worker death does — safe
-    # because the fold is idempotent by construction: family files are
-    # deterministic bytes landed via atomic os.replace, the sidecar is
-    # written LAST, and metrics come only from the one successful return,
-    # so a retry can neither double-write nor double-count (pinned by
-    # tests/test_fault_tolerance.py::test_fold_task_poison_retries_exactly)
-    fold_task = ray.remote(_fold_and_write).options(retry_exceptions=True, max_retries=4)
-
-    slice_refs = [shard_map.remote(shard, n_parts, frozenset(done)) for shard in shards]
-    if n_parts == 1:  # num_returns=1 returns a bare ref
-        slice_refs = [[r] for r in slice_refs]
-    fold_refs = [
-        fold_task.remote(out_root, p, *[slice_refs[s][p] for s in range(n_shards)])
-        for p in range(n_parts)
-        if p not in done
-    ]
-    fresh = pd.DataFrame(ray.get(fold_refs)) if fold_refs else pd.DataFrame(
+    fresh = pd.DataFrame(
         columns=["part_id", "n_turns", "n_convs", "n_rows", "content_hash", "resumed"]
     )
-    fresh = fresh[fresh["n_turns"] > 0] if len(fresh) else fresh
-    skipped = []
-    for entry in read_lineage(out_root):
-        if entry["part_id"] in done and "families" in entry:
-            fams = entry["families"].values()
-            skipped.append(
-                {
-                    "part_id": entry["part_id"],
-                    "n_turns": entry["n_turns"],
-                    "n_convs": sum(f["n_convs"] for f in fams),
-                    "n_rows": sum(f["n_rows"] for f in fams),
-                    "content_hash": hashlib.md5("".join(f["content_hash"] for f in fams).encode()).hexdigest(),
-                    "resumed": True,
-                }
-            )
-    return pd.concat([fresh, pd.DataFrame(skipped)], ignore_index=True) if skipped else fresh
+    if groups:
+        n_shards = min(len(files), shuffle_num_blocks())
+        shards = [list(files[i::n_shards]) for i in range(n_shards)]
+        map_task = ray.remote(_map_shard).options(num_returns=len(groups))
+        # retry_exceptions: a fold that dies with a Python exception
+        # (transient FS error, allocator failure) retries like worker death
+        # does — safe because every publish is idempotent by construction:
+        # family files are deterministic bytes landed via atomic os.replace,
+        # each sidecar is written LAST, and metrics come only from the one
+        # successful return, so a retried group can neither double-write nor
+        # double-count (pinned by
+        # tests/test_fault_tolerance.py::test_fold_task_poison_retries_exactly)
+        fold_task = ray.remote(_fold_group).options(retry_exceptions=True, max_retries=4)
+        # the per-partition bodies are looked up HERE and shipped as task
+        # arguments, so the workers run whatever this module binds to
+        # ``_shard_map``/``_fold_and_write`` at call time
+        obj_refs = [
+            map_task.remote(_shard_map, shard, n_parts, frozenset(done), groups)
+            for shard in shards
+        ]
+        if len(groups) == 1:
+            obj_refs = [[r] for r in obj_refs]
+        fold_refs = [
+            fold_task.remote(_fold_and_write, out_root, g, *[refs[k] for refs in obj_refs])
+            for k, g in enumerate(groups)
+        ]
+        rows = [row for rows in ray.get(fold_refs) for row in rows]
+        fresh = pd.DataFrame(rows)
+        fresh = fresh[fresh["n_turns"] > 0]
+    return _with_resumed(fresh, out_root, done)
 
 
 def partitioned_extract_all(path: str, out_root: str, n_parts: int | None = None):
-    """ALL families, ONE read, ONE shuffle — the production/headline path.
+    """ALL families, ONE read, ONE shuffle through Ray Data.
 
     Every turn gets ``part_id = md5(conv_id) % n_parts``; a single
     ``groupby(part_id)`` co-locates each partition; the group task splits
@@ -465,22 +537,19 @@ def partitioned_extract_all(path: str, out_root: str, n_parts: int | None = None
     core, writes one parquet file per (family, partition) atomically, and
     records ONE lineage sidecar per partition (per-family row counts +
     content hashes). Compared to running the per-family pipelines
-    separately this replaces 6 scans + 6 shuffles with 1 + 1, and each task
-    carries enough fold work (≈ turns/n_parts) to amortize scheduling —
-    the shape that scales to a 256-node cluster.
+    separately this replaces 6 scans + 6 shuffles with 1 + 1.
+    ``partitioned_extract_all_tasks`` writes the same bytes faster.
 
     Resume: partitions with sidecars are pruned before the shuffle.
     Returns the per-partition metrics DataFrame.
     """
     import ray.data as rd
 
-    from ..runtime import tune_data_context
+    from ..runtime import shuffle_num_blocks, tune_data_context
 
     tune_data_context()
     n_parts = _resolve_n_parts(out_root, _list_parquet(path), n_parts)
     done = completed_parts(out_root)
-
-    from ..runtime import shuffle_num_blocks
 
     ds = rd.read_parquet(
         path,
@@ -495,56 +564,7 @@ def partitioned_extract_all(path: str, out_root: str, n_parts: int | None = None
 
     def write_partition(group: pa.Table) -> pd.DataFrame:
         part_id = int(group["part_id"][0].as_py())
-        sidecar: dict = {"part_id": part_id, "n_turns": int(group.num_rows), "families": {}}
-        for family, table, n_turns, n_convs in fold_partition(group):
-            fam_dir = os.path.join(out_root, family)
-            os.makedirs(fam_dir, exist_ok=True)
-            out_file = os.path.join(fam_dir, f"part-{part_id:05d}.parquet")
-            tmp = out_file + ".tmp"
-            pq.write_table(table, tmp)
-            os.replace(tmp, out_file)
-            with open(out_file, "rb") as fh:
-                content_hash = hashlib.md5(fh.read()).hexdigest()
-            sidecar["families"][family] = {
-                "n_turns": n_turns,
-                "n_convs": n_convs,
-                "n_rows": table.num_rows,
-                "content_hash": content_hash,
-            }
-        stmp = os.path.join(_lineage_dir(out_root), f"part-{part_id}.json.tmp")
-        with open(stmp, "w") as fh:
-            json.dump(sidecar, fh)
-        os.replace(stmp, os.path.join(_lineage_dir(out_root), f"part-{part_id}.json"))
-        n_rows = sum(f["n_rows"] for f in sidecar["families"].values())
-        return pd.DataFrame(
-            [
-                {
-                    "part_id": part_id,
-                    "n_turns": len(group),
-                    "n_convs": sum(f["n_convs"] for f in sidecar["families"].values()),
-                    "n_rows": n_rows,
-                    "content_hash": hashlib.md5(
-                        "".join(f["content_hash"] for f in sidecar["families"].values()).encode()
-                    ).hexdigest(),
-                    "resumed": False,
-                }
-            ]
-        )
+        return pd.DataFrame([_fold_and_write(out_root, part_id, group)])
 
     metrics = ds.groupby("part_id").map_groups(write_partition, batch_format="pyarrow")
-    fresh = metrics.to_pandas()
-    skipped = []
-    for entry in read_lineage(out_root):
-        if entry["part_id"] in done and "families" in entry:
-            fams = entry["families"].values()
-            skipped.append(
-                {
-                    "part_id": entry["part_id"],
-                    "n_turns": entry["n_turns"],
-                    "n_convs": sum(f["n_convs"] for f in fams),
-                    "n_rows": sum(f["n_rows"] for f in fams),
-                    "content_hash": hashlib.md5("".join(f["content_hash"] for f in fams).encode()).hexdigest(),
-                    "resumed": True,
-                }
-            )
-    return pd.concat([fresh, pd.DataFrame(skipped)], ignore_index=True) if skipped else fresh
+    return _with_resumed(metrics.to_pandas(), out_root, done)

@@ -81,3 +81,67 @@ def test_partitioned_tasks_resume(ray_session, small_corpus_dir, tmp_path):
     m2 = lineage.partitioned_extract_all_tasks(small_corpus_dir, out, n_parts=8)
     assert set(m2[~m2["resumed"]]["part_id"]) == set(victims)
     assert dict(zip(m1["part_id"], m1["content_hash"])) == dict(zip(m2["part_id"], m2["content_hash"]))
+
+
+def test_plan_groups_covers_pending_in_contiguous_runs():
+    target = lineage._TARGET_PART_BYTES
+    full = list(range(256))
+    holes = [p for p in range(256) if p % 3]  # a resume leaves gaps
+    for pending in (full, holes, [7], list(range(5))):
+        for cpus in (1, 2, 4, 64, 1000):
+            groups = lineage._plan_groups(pending, 1 << 20, cpus)
+            # each pending partition exactly once, in order: every group is a
+            # contiguous run of the pending list
+            assert [p for g in groups for p in g] == pending
+            assert all(groups)
+            # never more tasks than pending partitions
+            assert len(groups) == min(len(pending), lineage._GROUPS_PER_CPU * cpus)
+            sizes = [len(g) for g in groups]
+            assert max(sizes) - min(sizes) <= 1
+    for g in lineage._plan_groups(full, 1 << 20, 2):
+        assert g == list(range(g[0], g[-1] + 1))
+    # input beyond the per-partition target: one partition per task
+    for pending in (full, holes):
+        groups = lineage._plan_groups(pending, len(pending) * (target + 1), 2)
+        assert groups == [[p] for p in pending]
+    assert lineage._plan_groups([], 1 << 40, 8) == []
+
+
+def _sidecar_hashes(out_root):
+    return {
+        e["part_id"]: {f: v["content_hash"] for f, v in e["families"].items()}
+        for e in lineage.read_lineage(out_root)
+    }
+
+
+def test_partitioned_tasks_resume_at_256_parts(ray_session, small_corpus_dir, tmp_path):
+    """Resume at a realistic partition count: grouped fold tasks recompute
+    exactly the partitions whose sidecars were dropped, and every sidecar
+    hash equals a serial per-partition ``_shard_map``/``_fold_and_write``
+    replay."""
+    n_parts = 256
+    out = str(tmp_path / "fine")
+    m1 = lineage.partitioned_extract_all_tasks(small_corpus_dir, out, n_parts=n_parts)
+    assert not m1["resumed"].any()
+    written = sorted(lineage.completed_parts(out))
+    assert written == sorted(m1["part_id"])
+    dropped = written[::2]
+    for p in dropped:
+        os.remove(os.path.join(out, "_lineage", f"part-{p}.json"))
+
+    m2 = lineage.partitioned_extract_all_tasks(small_corpus_dir, out, n_parts=n_parts)
+    assert sorted(m2[~m2["resumed"]]["part_id"]) == dropped
+    assert sorted(m2[m2["resumed"]]["part_id"]) == written[1::2]
+    assert dict(zip(m1["part_id"], m1["content_hash"])) == dict(zip(m2["part_id"], m2["content_hash"]))
+
+    # one pending partition: a single group, one exchange object per shard
+    os.remove(os.path.join(out, "_lineage", f"part-{dropped[0]}.json"))
+    m3 = lineage.partitioned_extract_all_tasks(small_corpus_dir, out, n_parts=n_parts)
+    assert list(m3[~m3["resumed"]]["part_id"]) == [dropped[0]]
+
+    serial = str(tmp_path / "serial")
+    os.makedirs(os.path.join(serial, "_lineage"))
+    slices = lineage._shard_map(lineage._list_parquet(small_corpus_dir), n_parts, frozenset())
+    for p in range(n_parts):
+        lineage._fold_and_write(serial, p, slices[p])
+    assert _sidecar_hashes(out) == _sidecar_hashes(serial)
