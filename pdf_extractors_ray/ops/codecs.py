@@ -897,7 +897,7 @@ def _free_format_base(payload: bytes, start: int) -> int:
 def mp3_frames(payload: bytes) -> list[dict]:
     """Generic MPEG Layer III frame walk -> per-frame dicts
     ``{offset, size, version, sample_rate, bitrate_kbps, samples,
-    padding, has_crc, mono, main_data_begin}``. Supports MPEG-1/2/2.5,
+    padding, has_crc, mono, side_info_len, main_data_begin}``. Supports MPEG-1/2/2.5,
     all table bitrates, padding, optional CRC, and free format. Raises
     ``ValueError`` on broken sync, reserved fields, or truncation."""
     if not _mp3_sync_ok(payload, 0):
@@ -934,6 +934,7 @@ def mp3_frames(payload: bytes) -> list[dict]:
                 "padding": f["padding"],
                 "has_crc": f["has_crc"],
                 "mono": f["mono"],
+                "side_info_len": f["side_info_len"],
                 "main_data_begin": mdb,
             }
         )
@@ -975,15 +976,18 @@ def sample_mp3_frames(payload: bytes, every_ms: int, max_frames: int):
     return out
 
 
+def _main_data_offset(frame: dict) -> int:
+    """Start of the frame's main_data: past the header, the optional CRC
+    and the side info (9/17/32 bytes by version and channel mode)."""
+    return frame["offset"] + 4 + (2 if frame["has_crc"] else 0) + frame["side_info_len"]
+
+
 def _is_info_frame(payload: bytes, frame: dict) -> bool:
     # Xing/Info magic sits right after the side info in metadata frames.
-    # Probe ONLY the frame's own side-info offset (9/17/32 by version +
-    # channel mode) — probing all three would let audio main_data that
-    # happens to contain 'Xing' at a wrong offset silently misclassify
-    # a real first frame as metadata.
-    v1 = frame["version"] == "1"
-    off = (17 if frame["mono"] else 32) if v1 else (9 if frame["mono"] else 17)
-    base = frame["offset"] + 4 + (2 if frame["has_crc"] else 0) + off
+    # Probe ONLY the frame's own side-info offset — probing all three
+    # would let audio main_data that happens to contain 'Xing' at a wrong
+    # offset silently misclassify a real first frame as metadata.
+    base = _main_data_offset(frame)
     return payload[base : base + 4] in (b"Xing", b"Info")
 
 
@@ -1046,8 +1050,7 @@ def decode_mp3(payload: bytes) -> tuple[np.ndarray, int]:
             "for real Huffman-coded streams"
         )
     f0 = frames[0]
-    si = f0["offset"] + 4 + (2 if f0["has_crc"] else 0) + (17 if f0["version"] == "1" else 9)
-    md = payload[si : f0["offset"] + f0["size"]]
+    md = payload[_main_data_offset(f0) : f0["offset"] + f0["size"]]
     p = md.find(_PCM_MAGIC)
     if p < 0:
         raise NotImplementedError(
@@ -1057,10 +1060,7 @@ def decode_mp3(payload: bytes) -> tuple[np.ndarray, int]:
     n_samples = int.from_bytes(md[p + 4 : p + 8], "big")
     chunks = []
     for f in frames[1:]:
-        start = f["offset"] + 4 + (2 if f["has_crc"] else 0) + (
-            17 if f["version"] == "1" else 9
-        )
-        chunks.append(payload[start : f["offset"] + f["size"]])
+        chunks.append(payload[_main_data_offset(f) : f["offset"] + f["size"]])
     pcm = np.frombuffer(b"".join(chunks), dtype=">i2")[:n_samples].astype(np.int16)
     if len(pcm) != n_samples:
         raise ValueError("truncated PCM-embedding MPEG stream")

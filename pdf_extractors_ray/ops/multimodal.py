@@ -424,13 +424,16 @@ def _materialize_neardup_corpus(sf_dir: str) -> str:
     stem = hashlib.md5(json.dumps(spec, sort_keys=True).encode()).hexdigest()[:12]
     out_dir = os.path.join("/tmp/pdfx_media", f"neardup-{stem}")
     manifest = os.path.join(out_dir, "_manifest.json")
-    if os.path.exists(manifest):
+
+    def manifest_ok() -> bool:
         try:
             with open(manifest) as f:
-                if json.load(f) == spec:
-                    return out_dir
+                return json.load(f) == spec
         except (json.JSONDecodeError, OSError):
-            pass
+            return False
+
+    if manifest_ok():
+        return out_dir
     ds = read_parquet_sized(src, columns=["doc_id"])
     os.makedirs(os.path.dirname(out_dir), exist_ok=True)
     tmp = tempfile.mkdtemp(prefix="neardup-build-", dir="/tmp")
@@ -444,8 +447,14 @@ def _materialize_neardup_corpus(sf_dir: str) -> str:
         try:
             os.replace(tmp, out_dir)
         except OSError:
-            # target exists: another process won the race — use theirs
+            # target exists: another process won the race — use theirs,
+            # but only if it is complete and built from this spec
             shutil.rmtree(tmp, ignore_errors=True)
+            if not manifest_ok():
+                raise RuntimeError(
+                    f"{out_dir} exists without a manifest matching {spec}; "
+                    "remove it to rebuild the near-dup corpus"
+                ) from None
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise

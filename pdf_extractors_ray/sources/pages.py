@@ -26,7 +26,18 @@ import pandas as pd
 _PAGE_RE = re.compile(r"page-(\d+)\.(?:ppm|png)$")
 # writer in-flight temp suffix: .tmp<pid>; readers skip these, the writer
 # sweeps stale ones (a killed writer must not poison a shared cache dir)
-_TMP_RE = re.compile(r"\.tmp\d+$")
+_TMP_RE = re.compile(r"\.tmp(\d+)$")
+
+
+def _pid_dead(pid: int) -> bool:
+    """True when no process has ``pid``: a live writer's temp is in flight."""
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return True
+    except PermissionError:
+        return False  # alive, owned by another user
+    return False
 
 # Bump when the rendered page CONTENT changes (glyph font, render_page
 # defect model, or the invoice text recipe): cache directories embed this
@@ -47,7 +58,8 @@ def write_invoice_page_files(out_dir: str, doc_ids) -> str:
 
     os.makedirs(out_dir, exist_ok=True)
     for stale in os.listdir(out_dir):
-        if _TMP_RE.search(stale):  # a killed writer's in-flight temp
+        m = _TMP_RE.search(stale)
+        if m and _pid_dead(int(m.group(1))):  # a killed writer's temp
             try:
                 os.remove(os.path.join(out_dir, stale))
             except OSError:

@@ -309,6 +309,7 @@ def fold_partition(part: pa.Table, families: dict | None = None, derive_census: 
     ti, tx = tidx[order], texts[order]
     change = np.flatnonzero((np.diff(tc) != 0) | (np.diff(cc) != 0)) + 1
     bounds = np.concatenate(([0], change, [len(tc)]))
+    tx, ti = tx.tolist(), ti.tolist()  # the same str objects; Python ints
 
     rows_by_family: dict[str, list] = {}
     stats: dict[str, list[int]] = {}
@@ -318,7 +319,7 @@ def fold_partition(part: pa.Table, families: dict | None = None, derive_census: 
         if fam not in families:
             continue
         fold_fn = families[fam][0]
-        conv_rows = fold_fn(list(tx[lo:hi]), [int(x) for x in ti[lo:hi]])
+        conv_rows = fold_fn(tx[lo:hi], ti[lo:hi])
         cid = conv_uniq[cc[lo]] if cc[lo] >= 0 else None  # -1 = null conv_id
         for r in conv_rows:
             r["conv_id"] = cid

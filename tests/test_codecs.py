@@ -3,8 +3,10 @@ semantics, PCM slicing math, and end-to-end differentials for the real
 multimodal pipelines."""
 
 import hashlib
+import os
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from pdf_extractors_ray.ops import codecs
@@ -292,6 +294,59 @@ def test_dhash64_kernel_known_values():
     assert dhash64(img) == dhash64(img.copy())
 
 
+def test_neardup_corpus_revalidates_manifest_after_failed_replace(tmp_path, monkeypatch):
+    """When os.replace onto the cache dir fails, the existing dir is used
+    only if its manifest matches the spec: a racing writer that finished
+    is accepted, a dir with a bad manifest raises instead of being read."""
+    import json
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from pdf_extractors_ray import runtime
+    from pdf_extractors_ray.ops import multimodal as mm
+
+    pq.write_table(pa.table({"doc_id": [0, 1]}), tmp_path / "documents.parquet")
+    on_build = []
+
+    class FakeDataset:  # stands in for the Ray render; writes one file
+        def map_batches(self, fn, **kw):
+            return self
+
+        def write_parquet(self, path):
+            with open(os.path.join(path, "part-0.parquet"), "wb") as f:
+                f.write(b"rendered")
+            for hook in on_build:
+                hook()
+
+    monkeypatch.setattr(runtime, "read_parquet_sized", lambda *a, **kw: FakeDataset())
+    out_dir = mm._materialize_neardup_corpus(str(tmp_path))
+    try:
+        manifest = os.path.join(out_dir, "_manifest.json")
+        with open(manifest) as f:
+            good = f.read()
+        assert json.loads(good)["src"] == str(tmp_path / "documents.parquet")
+
+        def write_manifest(text):
+            with open(manifest, "w") as f:
+                f.write(text)
+
+        # a racing writer completes while this one renders: its dir wins
+        write_manifest("{}")
+        on_build.append(lambda: write_manifest(good))
+        assert mm._materialize_neardup_corpus(str(tmp_path)) == out_dir
+        # the dir keeps a bad manifest: the failed replace must raise
+        on_build.clear()
+        write_manifest("{}")
+        with pytest.raises(RuntimeError, match="manifest"):
+            mm._materialize_neardup_corpus(str(tmp_path))
+        os.remove(manifest)
+        with pytest.raises(RuntimeError, match="manifest"):
+            mm._materialize_neardup_corpus(str(tmp_path))
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
+
+
 @pytest.mark.parametrize("sf", ["/root/testdata/sf0.001", "/root/testdata/sf0.01"])
 def test_image_neardup_matches_bruteforce(ray_session, sf):
     """Distributed banded pairs == single-process all-pairs scan (the
@@ -516,6 +571,28 @@ def test_mp3_free_format_alternating_padding():
     assert [(f["offset"], f["size"]) for f in fr] == offs
     assert [f["padding"] for f in fr] == [0, 1, 0, 1, 0, 1, 0]
     assert codecs.mp3_duration_ms(stream) == 7 * 576 * 1000 // 8000
+
+
+def test_decode_mp3_stereo_info_frame_uses_stereo_side_info():
+    """decode_mp3 must look for the PCML marker after the frame's own side
+    info (32 bytes for MPEG-1 stereo): a marker inside that side info, at
+    the mono offset (17), is not main_data and must not be decoded."""
+    hdr = (
+        (0x7FF << 21) | (3 << 19) | (1 << 17) | (1 << 16)  # MPEG-1 L3, no CRC
+        | (0 << 12) | (0 << 10) | (0 << 6)  # free format, 44.1 kHz, stereo
+    ).to_bytes(4, "big")
+    side = bytearray(32)
+    side[17:25] = codecs._PCM_MAGIC + (4).to_bytes(4, "big")
+    # 65 bytes of main_data: read from the mono offset, every frame then
+    # holds a whole number of int16 samples and decodes without error
+    info = hdr + bytes(side) + b"Info".ljust(65, b"\x00")
+    audio = hdr + bytes(32) + bytes(range(65))
+    mp3 = info + audio
+    frames = codecs.mp3_frames(mp3)
+    assert len(frames) == 2 and not frames[0]["mono"]
+    assert codecs._is_info_frame(mp3, frames[0])
+    with pytest.raises(NotImplementedError):
+        codecs.decode_mp3(mp3)
 
 
 def test_mp3_info_frame_offset_is_exact():

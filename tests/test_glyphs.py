@@ -149,10 +149,39 @@ def test_page_cache_tolerates_and_sweeps_stale_temps(ray_session, tmp_path):
 
     d = str(tmp_path / "pages")
     write_invoice_page_files(d, range(6))
-    stale = os.path.join(d, "page-00000099.ppm.tmp12345")
+    stale = os.path.join(d, f"page-00000099.ppm.tmp{_reaped_pid()}")
     with open(stale, "wb") as f:
         f.write(b"partial garbage")
     got = read_page_files(d).to_pandas()
     assert sorted(got["doc_id"]) == list(range(6))  # temp skipped, not read
     write_invoice_page_files(d, range(6))
     assert not os.path.exists(stale)  # swept by the next writer
+
+
+def _reaped_pid() -> int:
+    """The pid of a child process that has exited and been waited for."""
+    import subprocess
+    import sys
+
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_page_cache_sweep_spares_live_writers_temps(tmp_path):
+    """The sweep removes a temp only when its writer's pid is dead: a
+    concurrent writer's in-flight temp must survive, or its os.replace
+    would fail."""
+    import os
+
+    from pdf_extractors_ray.sources.pages import write_invoice_page_files
+
+    d = tmp_path / "pages"
+    d.mkdir()
+    live = d / f"page-00000001.ppm.tmp{os.getpid()}"
+    dead = d / f"page-00000002.ppm.tmp{_reaped_pid()}"
+    for t in (live, dead):
+        t.write_bytes(b"in flight")
+    write_invoice_page_files(str(d), [])
+    assert live.exists()
+    assert not dead.exists()
