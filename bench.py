@@ -39,9 +39,6 @@ _DEFAULT_BENCH_CONVS = {
 BENCH_CONVS = int(
     os.environ.get("GRAFT_BENCH_CONVS", "0")
 ) or _DEFAULT_BENCH_CONVS.get(os.path.basename(os.path.normpath(SF_DIR)), 120000)
-# optional comma-separated subset of OP_QUERIES (sf1 runs time the top-10
-# most expensive ops rather than all ~109)
-_OPS_FILTER = [s for s in os.environ.get("GRAFT_BENCH_OPS", "").split(",") if s]
 
 OP_QUERIES = [
     "q1_pricing_summary",
@@ -156,6 +153,19 @@ OP_QUERIES = [
     "docs_retrieval_pipeline",
     "transcript_prompt_response",
 ]
+
+
+def ops_filter(raw: str) -> list[str]:
+    """``GRAFT_BENCH_OPS``: an optional comma-separated subset of OP_QUERIES
+    (sf1 runs time the top-10 most expensive ops rather than all ~109). An
+    entry not in OP_QUERIES raises at startup, not after the headline."""
+    names = [s.strip() for s in raw.split(",") if s.strip()]
+    if unknown := [n for n in names if n not in OP_QUERIES]:
+        raise ValueError(f"GRAFT_BENCH_OPS entries not in OP_QUERIES: {', '.join(unknown)}")
+    return names
+
+
+_OPS_FILTER = ops_filter(os.environ.get("GRAFT_BENCH_OPS", ""))
 
 
 def _op_extra():

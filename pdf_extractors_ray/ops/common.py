@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-CENTS_SQL = "CAST(FLOOR({col}*100 + 0.5) AS BIGINT)"
-
 
 def cents(x) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=np.float64) * 100.0 + 0.5).astype(np.int64)

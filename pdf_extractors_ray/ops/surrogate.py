@@ -659,7 +659,6 @@ _LAYOUT_HEADER = [
     ("Tract Code", 250.0),
     ("Tract Population", 350.0),
 ]
-_LAYOUT_MAX_ROWS = 4
 
 
 def _render_layout_turns_py(doc_id: int) -> list[tuple[int, str]]:
@@ -772,8 +771,6 @@ ORDER BY doc_id, ref_turn
 # what pipelines.extract_catalog composes) on deterministically rendered
 # one-line-per-turn conversations, against a closed-form DuckDB twin.
 # Reference semantics: mobil-oil/mobil-oil-extractor.py:31-121.
-
-_CATALOG_MAX_BLOCKS = 4
 
 
 def _render_catalog_lines_py(doc_id: int) -> list[str]:
@@ -1271,8 +1268,6 @@ EXTRACT_KERNEL_TABLE_FOLD_SQL = _table_fold_sql()
 # composes) on deterministically rendered 8-cell JSON rows, against a
 # closed-form DuckDB twin. Reference semantics:
 # mancini-beverage-invoice/invoice.py:135-153.
-
-_GRID_MAX_ROWS = 4
 
 
 def _render_grid_turns_py(doc_id: int) -> list[tuple[int, str]]:

@@ -1,21 +1,23 @@
-"""Transcript-corpus hygiene: per-conversation structural validation.
+"""Transcript-corpus conversation ops: per-conversation digests, tails,
+packing and rollups over RESTORED turn order.
 
 The north rule's per-row invariant is per-turn text equality UNDER STABLE
 TURN ORDERING — the synthesizer writes rows deliberately shuffled, so any
 pipeline that silently loses the (conv_id, turn_idx) restore emits wrong
-bytes. This operator pins that property in the driver record with an
-ORDER-SENSITIVE conversation digest: md5 over the role-initial sequence in
-turn order. A single transposed turn anywhere in the corpus flips its
+bytes. ``transcript_hygiene`` pins that property in its recorded result with
+an ORDER-SENSITIVE conversation digest: md5 over the role-initial sequence
+in turn order. A single transposed turn anywhere in the corpus flips its
 conversation's hash, and the DuckDB twin (``string_agg(... ORDER BY
 turn_idx)``) recomputes the same digest independently, so the engine's
 shuffle-then-restore is hash-checked end to end.
 
-Distributed shape: the same single-exchange co-location the extraction
-folds use (``stages/fold.py``) — ``part_id = md5(conv_id) % n_parts``
-appended map-side, one ``groupby(part_id)``, then vectorized
-boundary-slice aggregation per partition. Output is conversation-
-cardinality (tiny next to the input); the exchange carries only the four
-pruned columns.
+Distributed shape, shared by every op here that needs a conversation's
+turns together: ONE conversation exchange (``stages.fold.conv_exchange``)
+— Ray tasks that range-partition the pruned columns by conv_id and run
+the op's frame once per range, with vectorized boundary-slice aggregation
+inside it. The ranges come out in conv_id order, so conversation-keyed
+outputs need no sort, and bounded rollups (role transitions, per-tool
+moments) sum their per-range partials in the calling process.
 """
 
 from __future__ import annotations
@@ -35,16 +37,6 @@ def conv_hygiene_frame(group: pd.DataFrame) -> pd.DataFrame:
     from ..stages.fold import conv_boundaries
     from .text import _md5_hash15_str
 
-    if len(group) == 0:
-        return pd.DataFrame(
-            {
-                "conv_id": pd.Series([], dtype=object),
-                "n_turns": pd.Series([], dtype=np.int64),
-                "n_tool_turns": pd.Series([], dtype=np.int64),
-                "role_seq_hash": pd.Series([], dtype=np.int64),
-                "ts_span_us": pd.Series([], dtype=np.int64),
-            }
-        )
     conv = np.asarray(group["conv_id"], dtype=object)
     tidx = np.asarray(group["turn_idx"], dtype=np.int64)
     role = np.asarray(group["role"], dtype=object)
@@ -78,24 +70,13 @@ def conv_hygiene_frame(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def transcript_hygiene(path: str, n_parts: int | None = None):
+def transcript_hygiene(path: str):
     """Order-sensitive per-conversation hygiene digest over a transcript
     Parquet directory → Dataset(conv_id, n_turns, n_tool_turns,
     role_seq_hash, ts_span_us), sorted by conv_id."""
-    from ..sources.transcripts import read_transcripts
-    from ..stages.fold import _default_n_parts
-    from ..state.lineage import append_part_id
+    from ..stages.fold import conv_exchange
 
-    n_parts = n_parts or _default_n_parts()
-    ds = read_transcripts(path, columns=["conv_id", "turn_idx", "role", "ts"])
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts), batch_format="pyarrow", zero_copy_batch=True
-    )
-    return (
-        ds.groupby("part_id")
-        .map_groups(conv_hygiene_frame, batch_format="pandas")
-        .sort("conv_id")
-    )
+    return conv_exchange(path, ["conv_id", "turn_idx", "role", "ts"], conv_hygiene_frame)
 
 
 def transcript_hygiene_sql(path: str) -> str:
@@ -131,16 +112,12 @@ def _md5_seq_hash(seq: str) -> int:
 # conversation-level exact dedup (order-sensitive full-transcript digest)
 
 
-CONV_SEP = "\x1f"  # unit separator: cannot appear in synthesized turn text
-
-
 def turn_digest_batch(batch):
     """Map-side per-turn md5 hex — the 100 TB payload reduction: the
-    co-location exchange then carries 32-byte digests instead of the
-    text corpus (shuffle volume drops by the corpus/digest size
-    ratio). Arrow in, Arrow out: keeping blocks in Arrow through this
-    stage keeps the downstream sort-based groupby on the Arrow fast
-    path (a pandas block here measured ~6x slower end to end)."""
+    conversation exchange then carries 32-byte digests instead of the
+    text corpus (exchange volume drops by the corpus/digest size
+    ratio). Arrow in, Arrow out, so the shard map never builds pandas
+    blocks of the text."""
     import pyarrow as pa
 
     texts = batch.column("text").to_pylist()
@@ -171,14 +148,6 @@ def conv_digest_frame(group: pd.DataFrame) -> pd.DataFrame:
     turn_idx))``."""
     from ..stages.fold import conv_boundaries
 
-    if len(group) == 0:
-        return pd.DataFrame(
-            {
-                "conv_id": pd.Series([], dtype=object),
-                "conv_digest": pd.Series([], dtype=object),
-                "n_turns": pd.Series([], dtype=np.int64),
-            }
-        )
     conv = np.asarray(group["conv_id"], dtype=object)
     tidx = np.asarray(group["turn_idx"], dtype=np.int64)
     tmd5 = np.asarray(group["turn_md5"], dtype=object)
@@ -202,7 +171,7 @@ def conv_digest_frame(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def transcript_conv_dedup(path: str, n_parts: int | None = None):
+def transcript_conv_dedup(path: str):
     """Exact duplicate-CONVERSATION detection: order-sensitive full-text
     digest per conversation → group by digest → representative = minimum
     conv_id → Dataset(conv_id, conv_digest, rep_conv_id, is_dup), sorted
@@ -212,24 +181,16 @@ def transcript_conv_dedup(path: str, n_parts: int | None = None):
     the digest doing what per-doc md5 cannot: two conversations whose
     turns arrive in different physical orders but restore to the same
     logical sequence dedup together, while a turn swap keeps them apart.
-    Shape: the fold exchange (part_id co-location) builds digests; ONE
-    digest-bucketed exchange then both picks representatives (in-bucket
-    grouped MIN — exact, because all rows of a digest co-locate) and
-    labels members, with nothing broadcast and only conversation-
-    cardinality rows moving."""
-    from ..sources.transcripts import read_transcripts
-    from ..stages.fold import _default_n_parts
-    from ..state.lineage import append_part_id
+    Shape: the conversation exchange (``conv_exchange``, with the per-turn
+    md5 map-side so 32-byte digests cross it, not text) builds digests;
+    ONE digest-bucketed exchange then both picks representatives
+    (in-bucket grouped MIN — exact, because all rows of a digest
+    co-locate) and labels members, with nothing broadcast and only
+    conversation-cardinality rows moving."""
+    from ..stages.fold import conv_exchange
 
-    n_parts = n_parts or _default_n_parts()
-    ds = read_transcripts(path, columns=["conv_id", "turn_idx", "text"])
-    ds = ds.map_batches(
-        turn_digest_batch, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(
-        lambda b: append_part_id(b, n_parts), batch_format="pyarrow", zero_copy_batch=True
-    )
-    digests = ds.groupby("part_id").map_groups(
-        conv_digest_frame, batch_format="pandas"
+    digests = conv_exchange(
+        path, ["conv_id", "turn_idx", "text"], conv_digest_frame, pre=turn_digest_batch
     )
 
     # ONE digest-bucketed exchange resolves representatives AND labels
@@ -286,16 +247,15 @@ ORDER BY d.conv_id
 """
 
 
-def transcript_conv_neardup(path: str, n_parts: int | None = None,
-                            max_hamming: int = 3):
+def transcript_conv_neardup(path: str, max_hamming: int = 3):
     """Conversation-level NEAR-duplicate pairs over the transcript table
     — the transcript arm of the SimHash dedup family: agent re-rolls and
     retried conversations differ by a few turns of wording, not
     byte-identically, so ``transcript_conv_dedup``'s exact digest misses
-    them. Each conversation's turns RESTORE (part_id co-location, the
-    fold exchange, in-group sort by (conv_id, turn_idx) — the north
-    rule's ordering invariant made load-bearing: swapping two turns
-    changes the signature) and concatenate to one text; the shared
+    them. Each conversation's turns RESTORE (the conversation exchange,
+    in-range sort by (conv_id, turn_idx) — the north rule's ordering
+    invariant made load-bearing: swapping two turns changes the
+    signature) and concatenate to one text; the shared
     banded tail (``dedup.banded_hash_pairs``: 4×16-bit pigeonhole
     bands, star cap, chunked XOR+popcount verification) emits
     (a, b, hamming) keyed by a 52-bit md5 prefix of the conv_id string
@@ -304,31 +264,24 @@ def transcript_conv_neardup(path: str, n_parts: int | None = None,
     sparse-safe cogroup exchange downstream (cluster resolution); see
     ``conv_sig`` for the full budget note.
 
-    Scale shape: after the fold exchange only conversation-cardinality
-    signature rows move (the text leaves the fold as a 64-bit hash);
+    Scale shape: after the conversation exchange only conversation-
+    cardinality signature rows move (the text leaves the fold as a 64-bit
+    hash);
     conversations with zero tokens are excluded on both engines (an
     all-zero signature would pair every empty conv with every other).
     Pinned to ``transcript_conv_neardup_sql`` (bit-exact below the
     shared ``_MAX_BUCKET`` star cap — see the twin's docstring for the
     two documented equality assumptions)."""
-    from ..sources.transcripts import read_transcripts
-    from ..stages.fold import _default_n_parts
-    from ..state.lineage import append_part_id
+    from ..stages.fold import conv_boundaries, conv_exchange
     from .dedup import banded_hash_pairs, simhash_rows
 
-    n_parts = n_parts or _default_n_parts()
-    ds = read_transcripts(path, columns=["conv_id", "turn_idx", "text"])
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts), batch_format="pyarrow", zero_copy_batch=True
-    )
-
     def conv_sig(group: pd.DataFrame) -> pd.DataFrame:
-        import hashlib
-
-        g = group.sort_values(["conv_id", "turn_idx"], kind="mergesort")
+        conv = np.asarray(group["conv_id"], dtype=object)
+        order, bounds = conv_boundaries(conv, np.asarray(group["turn_idx"], dtype=np.int64))
+        tx = [t if isinstance(t, str) else "" for t in np.asarray(group["text"], object)[order]]
         ids, texts = [], []
-        for cid, sub in g.groupby("conv_id", sort=False):
-            text = " ".join(t if isinstance(t, str) else "" for t in sub["text"])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            cid, text = conv[order[lo]], " ".join(tx[lo:hi])
             if not text.split():
                 continue  # empty conversations carry no signature
             # 52-bit md5 prefix of the conv_id string: works for ANY id
@@ -352,7 +305,7 @@ def transcript_conv_neardup(path: str, n_parts: int | None = None,
             out[f"band{b}"] = out[f"band{b}"].astype(np.int64)
         return out
 
-    sigs = ds.groupby("part_id").map_groups(conv_sig, batch_format="pandas")
+    sigs = conv_exchange(path, ["conv_id", "turn_idx", "text"], conv_sig)
     return banded_hash_pairs(sigs, max_hamming=max_hamming)
 
 
@@ -477,15 +430,6 @@ def context_tail_frame(group: pd.DataFrame, k: int = CTX_TAIL_K) -> pd.DataFrame
     eval-harness pipeline runs per conversation."""
     from ..stages.fold import conv_boundaries
 
-    if len(group) == 0:
-        return pd.DataFrame(
-            {
-                "conv_id": pd.Series([], dtype=object),
-                "n_turns": pd.Series([], dtype=np.int64),
-                "n_ctx": pd.Series([], dtype=np.int64),
-                "context": pd.Series([], dtype=object),
-            }
-        )
     conv = np.asarray(group["conv_id"], dtype=object)
     tidx = np.asarray(group["turn_idx"], dtype=np.int64)
     role = np.asarray(group["role"], dtype=object)
@@ -511,25 +455,14 @@ def context_tail_frame(group: pd.DataFrame, k: int = CTX_TAIL_K) -> pd.DataFrame
     )
 
 
-def transcript_context_tails(path: str, n_parts: int | None = None):
+def transcript_context_tails(path: str):
     """Rendered last-``CTX_TAIL_K``-turn context per conversation →
-    Dataset(conv_id, n_turns, n_ctx, context), sorted by conv_id. Same
-    one-exchange fold co-location as the other transcript ops; output is
+    Dataset(conv_id, n_turns, n_ctx, context), sorted by conv_id. Shape:
+    the conversation exchange every transcript op shares; output is
     conversation-cardinality with k-turn-bounded strings."""
-    from ..sources.transcripts import read_transcripts
-    from ..stages.fold import _default_n_parts
-    from ..state.lineage import append_part_id
+    from ..stages.fold import conv_exchange
 
-    n_parts = n_parts or _default_n_parts()
-    ds = read_transcripts(path, columns=["conv_id", "turn_idx", "role", "text"])
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts), batch_format="pyarrow", zero_copy_batch=True
-    )
-    return (
-        ds.groupby("part_id")
-        .map_groups(context_tail_frame, batch_format="pandas")
-        .sort("conv_id")
-    )
+    return conv_exchange(path, ["conv_id", "turn_idx", "role", "text"], context_tail_frame)
 
 
 def transcript_context_tails_sql(path: str, k: int = CTX_TAIL_K) -> str:
@@ -555,14 +488,14 @@ GROUP BY conv_id ORDER BY conv_id
 _ROLE_IDS = {"user": 0, "assistant": 1, "tool": 2}
 
 
-def transcript_tool_latency(path: str, n_parts: int | None = None):
+def transcript_tool_latency(path: str):
     """Exact p50/p95 of the turn-to-turn time gap, grouped by (tool
     family, role of the later turn) — the latency telemetry an agent
     platform reads off its own transcripts (how long do tool turns take
     vs assistant turns, per pipeline family).
 
-    Shape: the fold exchange restores turn order and emits the narrow
-    (gid, gap_us) table (one int pair per non-first turn), materialized
+    Shape: the conversation exchange restores turn order and emits the
+    narrow (gid, gap_us) table (one int pair per non-first turn), materialized
     like ``docs_quality_rank``'s key table; both quantiles then run as
     ``exact_grouped_quantile_int`` histogram-narrowing selections —
     (tool × role) is a BOUNDED group set, every group narrowed in the
@@ -570,15 +503,8 @@ def transcript_tool_latency(path: str, n_parts: int | None = None):
     kernel, so the DuckDB twin (LAG + windowed rank selection) is
     bit-exact."""
     from ..sources.transcripts import read_transcripts
-    from ..stages.fold import _default_n_parts, conv_boundaries
-    from ..state.lineage import append_part_id
+    from ..stages.fold import conv_boundaries, conv_exchange
     from .relational import exact_grouped_quantile_int
-
-    n_parts = n_parts or _default_n_parts()
-    ds = read_transcripts(path, columns=["conv_id", "turn_idx", "role", "tool", "ts"])
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts), batch_format="pyarrow", zero_copy_batch=True
-    )
 
     # bounded tool-family set → stable integer gids (sorted for determinism)
     tools = sorted(
@@ -589,10 +515,6 @@ def transcript_tool_latency(path: str, n_parts: int | None = None):
     t2i = {t: i for i, t in enumerate(tools)}
 
     def gaps(group: pd.DataFrame) -> pd.DataFrame:
-        if len(group) == 0:
-            return pd.DataFrame(
-                {"gid": pd.Series([], dtype=np.int64), "gap_us": pd.Series([], dtype=np.int64)}
-            )
         conv = np.asarray(group["conv_id"], dtype=object)
         tidx = np.asarray(group["turn_idx"], dtype=np.int64)
         role = np.asarray(group["role"], dtype=object)
@@ -600,7 +522,7 @@ def transcript_tool_latency(path: str, n_parts: int | None = None):
         ts = np.asarray(group["ts"], dtype="datetime64[us]").astype(np.int64)
         order, bounds = conv_boundaries(conv, tidx)
         rl, tl, t = role[order], tool[order], ts[order]
-        gid_out, gap_out = [], []
+        gid_out, gap_out = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for i in range(len(bounds) - 1):
             lo, hi = int(bounds[i]), int(bounds[i + 1])
             if hi - lo < 2:
@@ -612,15 +534,13 @@ def transcript_tool_latency(path: str, n_parts: int | None = None):
             )
             gid_out.append(gids)
             gap_out.append(g)
-        if not gid_out:
-            return pd.DataFrame(
-                {"gid": pd.Series([], dtype=np.int64), "gap_us": pd.Series([], dtype=np.int64)}
-            )
         return pd.DataFrame(
             {"gid": np.concatenate(gid_out), "gap_us": np.concatenate(gap_out)}
         )
 
-    gap_ds = ds.groupby("part_id").map_groups(gaps, batch_format="pandas").materialize()
+    gap_ds = conv_exchange(
+        path, ["conv_id", "turn_idx", "role", "tool", "ts"], gaps
+    ).materialize()
 
     p50 = exact_grouped_quantile_int(gap_ds, "gid", "gap_us", 500_000)
     p95 = exact_grouped_quantile_int(gap_ds, "gid", "gap_us", 950_000)
@@ -673,7 +593,7 @@ ORDER BY p50.tool, p50.role
 # role-transition matrix (Markov counts over restored turn order)
 
 
-def transcript_role_transitions(path: str, n_parts: int | None = None):
+def transcript_role_transitions(path: str):
     """Corpus-wide (previous role → role) transition counts over
     RESTORED turn order, plus per-transition conversation counts — the
     Markov structure audit of a dialogue corpus (does `tool` ever
@@ -682,40 +602,20 @@ def transcript_role_transitions(path: str, n_parts: int | None = None):
     between cells, and the LAG-based DuckDB twin recomputes the matrix
     independently.
 
-    Shape: the fold exchange; per-partition vectorized boundary-masked
-    shift (the bigram kernel's shape over roles instead of tokens);
-    KB-sized grouped sums (≤ 9 cells)."""
-    from ..sources.transcripts import read_transcripts
-    from ..stages.fold import _default_n_parts, conv_boundaries
-    from ..state.lineage import append_part_id
-    from .common import grouped_sums
-
-    n_parts = n_parts or _default_n_parts()
-    ds = read_transcripts(path, columns=["conv_id", "turn_idx", "role"])
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts), batch_format="pyarrow", zero_copy_batch=True
-    )
+    Shape: the conversation exchange; per-range vectorized boundary-masked
+    shift (the bigram kernel's shape over roles instead of tokens); the
+    per-range partials (≤ 9 cells each) are summed by the caller."""
+    from ..stages.fold import conv_boundaries, conv_exchange
 
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        if len(group) == 0:
-            return pd.DataFrame(
-                {
-                    "prev_role": pd.Series([], dtype=object),
-                    "role": pd.Series([], dtype=object),
-                    "n": pd.Series([], dtype=np.int64),
-                    "n_convs": pd.Series([], dtype=np.int64),
-                }
-            )
         conv = np.asarray(group["conv_id"], dtype=object)
         tidx = np.asarray(group["turn_idx"], dtype=np.int64)
         role = np.asarray(group["role"], dtype=object)
         order, bounds = conv_boundaries(conv, tidx)
         cv, rl = conv[order], role[order]
-        same = np.zeros(len(cv) - 1, dtype=bool) if len(cv) > 1 else np.zeros(0, dtype=bool)
-        if len(cv) > 1:
-            starts = np.zeros(len(cv), dtype=bool)
-            starts[bounds[:-1]] = True
-            same = ~starts[1:]
+        starts = np.zeros(len(cv), dtype=bool)
+        starts[bounds[:-1]] = True
+        same = ~starts[1:]
         df = pd.DataFrame(
             {
                 "prev_role": rl[:-1][same],
@@ -729,11 +629,25 @@ def transcript_role_transitions(path: str, n_parts: int | None = None):
         out[["n", "n_convs"]] = out[["n", "n_convs"]].astype(np.int64)
         return out
 
-    per_part = ds.groupby("part_id").map_groups(pairs, batch_format="pandas")
-    # conversations never span partitions (part_id is a function of
-    # conv_id), so per-partition nunique sums are exact global nuniques
-    mat = grouped_sums(per_part, ["prev_role", "role"], ["n", "n_convs"])
-    return mat.sort(["prev_role", "role"])
+    # conversations never span ranges, so per-range nunique sums are
+    # exact global nuniques
+    per_range = conv_exchange(path, ["conv_id", "turn_idx", "role"], pairs)
+    return _combine_cells(per_range, ["prev_role", "role"])
+
+
+def _combine_cells(per_range, keys: list[str]):
+    """Sum the per-range partials of a bounded-key rollup in this process →
+    Dataset sorted by ``keys``. The cell count is bounded (role pairs, tool
+    families), so one local combine replaces a shuffle and a sort."""
+    import ray.data
+
+    out = per_range.to_pandas()
+    if out.empty:  # no rows at all: the empty Dataset, as a Ray Data rollup gives
+        return per_range
+    out = out.groupby(keys, as_index=False, sort=True).sum()
+    vals = [c for c in out.columns if c not in keys]
+    out[vals] = out[vals].astype(np.int64)
+    return ray.data.from_pandas(out)
 
 
 def transcript_role_transitions_sql(path: str) -> str:
@@ -763,34 +677,19 @@ ORDER BY prev_role, role
 PACK_WINDOW_TOKENS = 64
 
 
-def transcript_turn_pack(path: str, n_parts: int | None = None,
-                         window_tokens: int = PACK_WINDOW_TOKENS):
+def transcript_turn_pack(path: str, window_tokens: int = PACK_WINDOW_TOKENS):
     """Per-turn window id + token offset inside its conversation.
 
     ``n_toks`` counts single-space splits (``text.count(' ') + 1`` ==
     ``len(string_split(text, ' '))`` for EVERY string, so engine and twin
-    agree bytewise regardless of corpus whitespace). Shape: the fold
-    exchange (part_id map-side, one groupby, vectorized segment cumsum via
-    global-cumsum-minus-segment-base — no per-conversation Python loop).
-    Output is turn-cardinality but narrow (no text leaves the exchange
-    carrying stage)."""
-    from ..sources.transcripts import read_transcripts
-    from ..stages.fold import _default_n_parts, conv_boundaries
-    from ..state.lineage import append_part_id
-
-    n_parts = n_parts or _default_n_parts()
-    ds = read_transcripts(path, columns=["conv_id", "turn_idx", "text"])
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts), batch_format="pyarrow", zero_copy_batch=True
-    )
+    agree bytewise regardless of corpus whitespace). Shape: the
+    conversation exchange, then a vectorized segment cumsum per range via
+    global-cumsum-minus-segment-base — no per-conversation Python loop.
+    Output is turn-cardinality but narrow (no text leaves the fold), in
+    (conv_id, turn_idx) order."""
+    from ..stages.fold import conv_boundaries, conv_exchange
 
     def pack(group: pd.DataFrame) -> pd.DataFrame:
-        cols = ("conv_id", "turn_idx", "n_toks", "win", "win_off")
-        if len(group) == 0:
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=object if c == "conv_id" else np.int64)
-                 for c in cols}
-            )
         conv = np.asarray(group["conv_id"], dtype=object)
         tidx = np.asarray(group["turn_idx"], dtype=np.int64)
         txt = np.asarray(group["text"], dtype=object)
@@ -810,11 +709,7 @@ def transcript_turn_pack(path: str, n_parts: int | None = None,
             }
         )
 
-    return (
-        ds.groupby("part_id")
-        .map_groups(pack, batch_format="pandas")
-        .sort(["conv_id", "turn_idx"])
-    )
+    return conv_exchange(path, ["conv_id", "turn_idx", "text"], pack)
 
 
 def transcript_turn_pack_sql(path: str, window_tokens: int = PACK_WINDOW_TOKENS) -> str:
@@ -926,7 +821,7 @@ ORDER BY 1, 2
 """
 
 
-def transcript_prompt_response(path: str, n_parts: int | None = None):
+def transcript_prompt_response(path: str):
     """Prompt→response length moments — the conversational-quality
     statistic over adjacent (user turn, assistant turn) pairs: exact
     integer sufficient statistics (n, Σu, Σa, Σu², Σa², Σu·a) per tool
@@ -936,20 +831,15 @@ def transcript_prompt_response(path: str, n_parts: int | None = None):
     (besides the hygiene digest and turn packing) on the north rule's
     stable-turn-ordering restore.
 
-    Scale shape: one part_id-bucketed exchange (the fold exchange every
-    transcript op shares) carrying (conv, turn, role, len) — lengths,
-    not text; in-bucket vectorized lexsort + shifted-role mask; the
-    emitted partial is ONE row per (bucket, tool family). Moments fold
+    Scale shape: the conversation exchange every transcript op shares,
+    carrying (conv, turn, role, len) — lengths, not text; in-range
+    vectorized lexsort + shifted-role mask; the emitted partial is ONE
+    row per (range, tool family), summed by the caller. Moments fold
     in int64 throughout (len ≤ 8 KB per turn → Σu·a stays inside 2^63
     below ~10^11 pairs — beyond that, shard the corpus and merge the
     per-shard moment rows in Python ints; the combine itself has no
     wider-than-int64 path)."""
-    from ..sources.transcripts import read_transcripts
-    from ..stages.fold import _default_n_parts
-    from ..state.lineage import append_part_id
-
-    n_parts = n_parts or _default_n_parts()
-    ds = read_transcripts(path, columns=["conv_id", "turn_idx", "role", "tool", "text"])
+    from ..stages.fold import conv_exchange
 
     def proj(batch):
         import pyarrow as pa
@@ -965,12 +855,6 @@ def transcript_prompt_response(path: str, n_parts: int | None = None):
             }
         )
 
-    narrow = ds.map_batches(proj, batch_format="pyarrow").map_batches(
-        lambda b: append_part_id(b, n_parts),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
     def fold(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["conv_id", "turn_idx"], kind="mergesort")
         conv = g["conv_id"].to_numpy(object)
@@ -980,12 +864,6 @@ def transcript_prompt_response(path: str, n_parts: int | None = None):
         same_conv = conv[1:] == conv[:-1]
         pair = same_conv & (role[:-1] == "user") & (role[1:] == "assistant")
         idx = np.flatnonzero(pair)
-        if len(idx) == 0:
-            return pd.DataFrame(
-                {c: pd.Series(dtype=(object if c == "tool" else np.int64))
-                 for c in ("tool", "n_pairs", "sum_u", "sum_a", "sum_u2",
-                           "sum_a2", "sum_ua")}
-            )
         u, a = ln[idx], ln[idx + 1]
         fam = tool[idx]
         df = pd.DataFrame(
@@ -997,21 +875,10 @@ def transcript_prompt_response(path: str, n_parts: int | None = None):
         )
         return df.groupby("tool", as_index=False, sort=False).sum()
 
-    from .common import bucketed_group_agg
-
-    agg = bucketed_group_agg(
-        narrow.groupby("part_id").map_groups(fold, batch_format="pandas"),
-        ["tool"],
-        {"n_pairs": "sum", "sum_u": "sum", "sum_a": "sum",
-         "sum_u2": "sum", "sum_a2": "sum", "sum_ua": "sum"},
+    per_range = conv_exchange(
+        path, ["conv_id", "turn_idx", "role", "tool", "text"], fold, pre=proj
     )
-
-    def fin(batch: pd.DataFrame) -> pd.DataFrame:
-        for c in ("n_pairs", "sum_u", "sum_a", "sum_u2", "sum_a2", "sum_ua"):
-            batch[c] = batch[c].astype(np.int64)
-        return batch
-
-    return agg.map_batches(fin, batch_format="pandas").sort("tool")
+    return _combine_cells(per_range, ["tool"])
 
 
 def transcript_prompt_response_sql(path: str) -> str:

@@ -108,14 +108,3 @@ GRID_DETECTED_SCHEMA = _with_conv(
 GRID_CROPS_SCHEMA = _with_conv(
     [pa.field("ref_turn", pa.int32()), pa.field("po_box", _S), pa.field("sold_to", _S)]
 )
-
-FAMILY_SCHEMAS = {
-    "catalog": CATALOG_SCHEMA,
-    "invoice": INVOICE_SCHEMA,
-    "layout": LAYOUT_SCHEMA,
-    "table": TABLE_SCHEMA,
-    "grid": GRID_SCHEMA,
-    "census_households": HOUSEHOLD_SCHEMA,
-    "census_summary": CENSUS_SUMMARY_SCHEMA,
-    "census_persons": PERSONS_SCHEMA,
-}

@@ -403,18 +403,22 @@ def _fold_and_write(out_root: str, part_id: int, *slices) -> dict:
 _GROUPS_PER_CPU = 4
 
 
+def _n_groups(n_items: int, nbytes: int, cpus: int, per_cpu: int = _GROUPS_PER_CPU) -> int:
+    """Fold tasks for ``n_items`` units of work over ``nbytes`` of input:
+    ``min(n_items, max(per_cpu × cpus, ceil(nbytes / _TARGET_PART_BYTES)))``."""
+    return min(n_items, max(per_cpu * cpus, -(-nbytes // _TARGET_PART_BYTES)))
+
+
 def _plan_groups(pending: list[int], pending_bytes: int, cpus: int) -> list[list[int]]:
-    """Split the sorted pending part ids into contiguous groups, one fold
-    task each: ``min(pending, max(_GROUPS_PER_CPU × cpus,
-    ceil(pending_bytes / _TARGET_PART_BYTES)))`` groups of near-equal size.
-    At the design point ``n_parts`` is itself ``ceil(bytes / target)``, so
-    every group holds one partition and the per-task working set stays
-    bounded; at small scale partitions share a task instead of each paying
-    Ray's per-task and per-object overhead."""
+    """Split the sorted pending part ids into ``_n_groups`` contiguous groups
+    of near-equal size, one fold task each. At the design point ``n_parts``
+    is itself ``ceil(bytes / target)``, so every group holds one partition
+    and the per-task working set stays bounded; at small scale partitions
+    share a task instead of each paying Ray's per-task and per-object
+    overhead."""
     if not pending:
         return []
-    by_bytes = -(-pending_bytes // _TARGET_PART_BYTES)
-    n_tasks = min(len(pending), max(_GROUPS_PER_CPU * cpus, by_bytes))
+    n_tasks = _n_groups(len(pending), pending_bytes, cpus)
     size, extra = divmod(len(pending), n_tasks)
     groups, lo = [], 0
     for g in range(n_tasks):

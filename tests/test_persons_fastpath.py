@@ -36,6 +36,13 @@ def _load_unscreened():
 
 
 unscreened = _load_unscreened()
+# get_father's root fix (a capture without a word gives None instead of
+# raising) is a deliberate deviation of both modules from the reference;
+# the screens never touched get_father, so the copy takes the fixed one
+unscreened.get_father = persons.get_father
+# the same parse without the "Possible nested set" FutureWarning (checked in
+# test_persons_root_fixes.py); the copy's template is otherwise verbatim
+unscreened._REL_NOS_AND = persons._REL_NOS_AND
 
 
 def _outcome(mod, household):
