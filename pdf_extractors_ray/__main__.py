@@ -46,7 +46,6 @@ def main(argv: list[str] | None = None) -> int:
     e.add_argument("--input", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--parts", type=int, default=64)
-    e.add_argument("--engine", choices=["tasks", "dataset"], default="tasks")
 
     f = sub.add_parser("family", help="one family pipeline → parquet directory")
     f.add_argument("--input", required=True)
@@ -70,12 +69,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "extract":
-        from .state.lineage import partitioned_extract_all, partitioned_extract_all_tasks
+        from .state.lineage import partitioned_extract_all_tasks
 
         ray = _ray_session(args.num_cpus)
         try:
-            fn = partitioned_extract_all_tasks if args.engine == "tasks" else partitioned_extract_all
-            metrics = fn(args.input, args.out, n_parts=args.parts)
+            metrics = partitioned_extract_all_tasks(args.input, args.out, n_parts=args.parts)
             print(json.dumps({
                 "out": args.out,
                 "partitions": int(len(metrics)),

@@ -734,9 +734,16 @@ def banded_hash_pairs(ds, max_hamming: int = 3, max_bucket: int = _MAX_BUCKET):
     # Ray's hash aggregate pays per-GROUP overhead (measured 250+ s for
     # 500k groups) — the same pathology ops/common.bucketed_group_agg fixes
     # for exact dedup.
+    import ray.data as rd
+
     from .common import bucketed_group_agg
 
-    return bucketed_group_agg(pairs, ["a", "b"], {"hamming": "min"}).sort(["a", "b"])
+    pairs = bucketed_group_agg(pairs, ["a", "b"], {"hamming": "min"}).sort(["a", "b"])
+    # Ray Data runs no UDF on an empty block, so when no pair survives the
+    # sorted blocks carry no schema; one typed empty block keeps
+    # ``schema()`` at the twin's int64 (a, b, hamming) without another pass
+    none = pd.DataFrame({c: pd.Series(dtype=np.int64) for c in ("a", "b", "hamming")})
+    return pairs.union(rd.from_pandas(none))
 
 
 # Exact-path hot-shingle guard: a (source, shingle) posting list longer

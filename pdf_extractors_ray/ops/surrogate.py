@@ -502,9 +502,9 @@ EXTRACT_KERNEL_MEMBER_CODERS_SQL = _member_coders_sql()
 # extract_kernel_invoice_bank pins the per-fragment regex bank; this query
 # pins the FOLD that consumes it (M26 fragmenter ':'-quirk, M27 header
 # broadcast incl. the has-Invoice guard, M28 delivery-date LOCF) by running
-# the PRODUCTION pipeline stages (InvoiceFieldExtractor -> part_id ->
-# groupby(part_id) -> _fold_invoice_partition — the same objects
-# extract_invoice composes) over deterministically rendered fragment
+# the PRODUCTION pipeline stages (InvoiceFieldExtractor -> map_partitions
+# with _fold_invoice_partition — the same objects extract_invoice
+# composes) over deterministically rendered fragment
 # conversations, against a DuckDB window-SQL twin
 # (LAST_VALUE ... IGNORE NULLS per conversation ordered by fragment).
 # Reference semantics: nordic-logistics-invoice/nordic-invoice.py:65-100.
@@ -550,9 +550,8 @@ def extract_kernel_invoice_fold(sf_dir: str):
     import pyarrow as pa
 
     from ..pipelines.extract import _fold_invoice_partition
-    from ..stages.fold import _default_n_parts
+    from ..stages.fold import map_partitions
     from ..stages.invoice_extract import InvoiceFieldExtractor
-    from ..state.lineage import append_part_id
 
     ds = _docs(sf_dir, columns=["doc_id"])
 
@@ -569,13 +568,10 @@ def extract_kernel_invoice_fold(sf_dir: str):
              "text": text}
         )
 
-    n_parts = _default_n_parts()
-    folded = (
+    folded = map_partitions(
         ds.map_batches(render, batch_format="pandas")
-        .map_batches(InvoiceFieldExtractor(), batch_format="pyarrow")
-        .map_batches(lambda b: append_part_id(b, n_parts), batch_format="pyarrow")
-        .groupby("part_id")
-        .map_groups(_fold_invoice_partition, batch_format="pyarrow")
+        .map_batches(InvoiceFieldExtractor(), batch_format="pyarrow"),
+        _fold_invoice_partition,
     )
 
     def project(batch: pa.Table) -> pa.Table:

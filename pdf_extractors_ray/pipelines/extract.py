@@ -1,17 +1,22 @@
-"""End-to-end extraction pipelines (the flagship).
+"""End-to-end extraction pipelines, one Ray Data pipeline per family.
 
 Shape (SURVEY.md §7.1): pruned Parquet read → vectorized per-turn stages →
-ONE ``groupby(conv_id)`` shuffle per family → ordered in-group fold →
-(census only) embarrassingly-parallel downstream stages over household rows.
+``part_id`` co-location (``stages.fold.map_partitions``: one
+``groupby(part_id)`` per family) → ordered per-conversation fold inside
+each partition → (census only) embarrassingly-parallel downstream stages
+over household rows.
 
 Scale notes:
 - the read prunes both columns and rows (``filter=pc.field("tool") == f`` —
   row-group predicate pushdown), so each family pipeline only moves its own
   turns;
-- folds run inside ``map_groups`` after the single conv_id shuffle; nothing
-  downstream of the fold shuffles again (persons/summary are per-row maps);
-- stateful stages (compiled regex banks) are callable classes in actor
-  pools — compiled once per actor, used per batch.
+- nothing downstream of the fold shuffles again (persons/summary are
+  per-row maps);
+- per-turn stages run as elastic tasks; their compiled regex banks are
+  module state, compiled once per worker process.
+
+The all-family checkpointed extract (``state/lineage``) writes the same
+rows from one read and one exchange.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from ..oracle import invoice as _invoice
 from ..oracle import layout as _layout
 from ..oracle import persons as _persons
 from ..oracle import table as _table
-from ..stages.fold import fold_conversations, rows_to_table
+from ..stages.fold import fold_conversations, map_partitions, rows_to_table
 from ..stages.invoice_extract import FIELD_PREFIX, InvoiceFieldExtractor
 from . import schemas
 
@@ -45,7 +50,7 @@ def family_dataset(path: str, family: str):
 
 
 # ---------------------------------------------------------------------------
-# simple fold families: read → groupby(conv_id) → ordered fold
+# simple fold families: read → part_id co-location → ordered fold
 
 
 def extract_catalog(path: str):
@@ -230,7 +235,7 @@ def extract_layout_broadcast(path: str, max_broadcast_headers: int = 1_000_000):
 
 
 # ---------------------------------------------------------------------------
-# invoice: vectorized RE2 bank (actor pool) → light header/LOCF fold
+# invoice: vectorized RE2 bank → light header/LOCF fold
 
 
 def _fold_invoice_partition(group: pa.Table) -> pa.Table:
@@ -269,35 +274,14 @@ def _fold_invoice_partition(group: pa.Table) -> pa.Table:
     return rows_to_table(rows, schemas.INVOICE_SCHEMA)
 
 
-def extract_invoice(path: str, concurrency=None, batch_size: int = 4096, n_parts: int | None = None):
-    from ..stages.fold import _default_n_parts
-    from ..state.lineage import append_part_id
-
-    ds = family_dataset(path, "invoice")
-    # default: elastic tasks — the extractor's only state is the
-    # module-level RE2 pattern bank, so an actor pool buys nothing and
-    # pays its spawn cost per query (and a fixed cap starves a wider
-    # cluster — round-1 lesson); pass ``concurrency`` to force a pool
-    if concurrency is None:
-        ds = ds.map_batches(
-            InvoiceFieldExtractor(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    else:
-        ds = ds.map_batches(
-            InvoiceFieldExtractor,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
-    n_parts = n_parts or _default_n_parts()
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts), batch_format="pyarrow", zero_copy_batch=True
+def extract_invoice(path: str):
+    # elastic tasks, not an actor pool: the extractor's only state is the
+    # module-level RE2 pattern bank, so a pool buys nothing and pays its
+    # spawn cost per query (and a fixed cap starves a wider cluster)
+    ds = family_dataset(path, "invoice").map_batches(
+        InvoiceFieldExtractor(), batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
     )
-    return ds.groupby("part_id").map_groups(_fold_invoice_partition, batch_format="pyarrow")
+    return map_partitions(ds, _fold_invoice_partition)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Ordered per-conversation session folds.
 
 The reference's in-document parsing is a forward-only ordered scan with
-carried state (SURVEY.md §2.9, ST1-ST3). In Ray Data that becomes: assign
-a coarse ``part_id = md5(conv_id) % n_parts`` (vectorized, Arrow-native),
-ONE ``groupby(part_id)`` to co-locate conversations (the single shuffle the
-engine needs, SURVEY.md §7.4), then fold every conversation inside the
-partition with numpy boundary slicing — per-conversation ordering is
-restored deterministically no matter how the input blocks arrived (the
-synthesizer writes rows shuffled on purpose).
+carried state (SURVEY.md §2.9, ST1-ST3). The per-family Ray Data pipelines
+do it in ``map_partitions``: assign a coarse ``part_id = md5(conv_id) %
+n_parts`` (vectorized, Arrow-native), ONE ``groupby(part_id)`` (the
+package's only one) to co-locate conversations, then fold every
+conversation inside the partition with numpy boundary slicing.
+Per-conversation ordering is restored deterministically no matter how the
+input blocks arrived (the synthesizer writes rows shuffled on purpose).
+The all-family extract engine (``state/lineage.partitioned_extract_all_tasks``)
+exchanges the same ``part_id`` on Ray tasks instead.
 
 Grouping by coarse partitions instead of by ``conv_id`` directly matters at
 scale: ``map_groups`` per conversation costs a Python call + batch build
@@ -101,30 +103,29 @@ def fold_group_table(group: pa.Table, fold_fn: FoldFn, schema: pa.Schema) -> pa.
     return rows_to_table(rows, schema)
 
 
-def _default_n_parts() -> int:
-    try:
-        import ray
+def map_partitions(ds, part_fn: Callable[[pa.Table], pa.Table]):
+    """The part_id co-location of the per-family pipelines: every batch
+    gets ``part_id = md5(conv_id) % n_parts`` (4 per cluster CPU, at least
+    16; 32 without a Ray session), ONE ``groupby(part_id)`` gathers each
+    partition, and ``part_fn`` runs once per partition → Dataset."""
+    import ray
 
-        if ray.is_initialized():
-            return max(16, int(ray.cluster_resources().get("CPU", 8)) * 4)
-    except ImportError:
-        pass
-    return 32
-
-
-def fold_conversations(ds, fold_fn: FoldFn, schema: pa.Schema, n_parts: int | None = None):
-    """part_id co-location + ordered per-conversation folds → Dataset."""
     from ..state.lineage import append_part_id
 
-    n_parts = n_parts or _default_n_parts()
+    n_parts = 32
+    if ray.is_initialized():
+        n_parts = max(16, int(ray.cluster_resources().get("CPU", 8)) * 4)
     ds = ds.map_batches(
         lambda b: append_part_id(b, n_parts),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return ds.groupby("part_id").map_groups(
-        lambda g: fold_group_table(g, fold_fn, schema), batch_format="pyarrow"
-    )
+    return ds.groupby("part_id").map_groups(part_fn, batch_format="pyarrow")
+
+
+def fold_conversations(ds, fold_fn: FoldFn, schema: pa.Schema):
+    """part_id co-location + ordered per-conversation folds → Dataset."""
+    return map_partitions(ds, lambda g: fold_group_table(g, fold_fn, schema))
 
 
 # ---------------------------------------------------------------------------

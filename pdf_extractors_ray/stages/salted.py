@@ -54,8 +54,7 @@ def hot_conversations(ds, threshold: int) -> set[str]:
     return set(hot["conv_id"])
 
 
-def extract_invoice_salted(path: str, hot_threshold: int = 64, window: int = 32,
-                           concurrency=None, batch_size: int = 4096):
+def extract_invoice_salted(path: str, hot_threshold: int = 64, window: int = 32):
     """Invoice extraction with salted splits; output ≡ plain extract_invoice."""
     import ray
 
@@ -65,23 +64,11 @@ def extract_invoice_salted(path: str, hot_threshold: int = 64, window: int = 32,
     hot = hot_conversations(ds, hot_threshold)
     hot_ref = ray.put(hot)
 
-    # elastic tasks by default — the extractor's state is a module-level
-    # pattern bank (see pipelines.extract.extract_invoice)
-    if concurrency is None:
-        ds = ds.map_batches(
-            InvoiceFieldExtractor(),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    else:
-        ds = ds.map_batches(
-            InvoiceFieldExtractor,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
+    # elastic tasks — the extractor's state is a module-level pattern bank
+    # (see pipelines.extract.extract_invoice)
+    ds = ds.map_batches(
+        InvoiceFieldExtractor(), batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
+    )
 
     def add_salt(batch: pd.DataFrame) -> pd.DataFrame:
         hotset = ray.get(hot_ref)

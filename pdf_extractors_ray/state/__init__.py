@@ -1,1 +1,1 @@
-from .lineage import partitioned_extract, read_output, read_lineage  # noqa: F401
+from .lineage import read_output, read_lineage  # noqa: F401

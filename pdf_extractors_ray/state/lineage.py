@@ -67,8 +67,6 @@ def append_part_id(batch: pa.Table, n_parts: int, done: set[int] | None = None) 
     converted to Python objects. ``done`` partitions are filtered out here,
     before the shuffle.
     """
-    import pyarrow.compute as pc
-
     enc = pc.dictionary_encode(batch["conv_id"]).combine_chunks()
     dictionary = enc.dictionary.to_pylist()
     lut = np.fromiter(
@@ -207,56 +205,6 @@ def _with_resumed(fresh: pd.DataFrame, out_root: str, done: set[int]) -> pd.Data
     return pd.concat([fresh, pd.DataFrame(skipped)], ignore_index=True) if skipped else fresh
 
 
-def partitioned_extract(path: str, family: str, out_dir: str, n_parts: int | None = 32):
-    """Checkpointed extraction run; returns the per-partition metrics table.
-
-    Resume-safe: rerunning after a partial failure folds and writes only the
-    partitions without sidecars. ``n_parts=None`` derives the count from
-    input bytes (and a resumed run always reuses the recorded count).
-    """
-    from ..pipelines.extract import family_dataset
-
-    fold_fn, schema = FOLDS[family]
-    n_parts = _resolve_n_parts(out_dir, _list_parquet(path), n_parts)
-    done = completed_parts(out_dir)
-
-    ds = family_dataset(path, family)
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts, done),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    def row(sidecar: dict, resumed: bool) -> dict:
-        keys = ("part_id", "n_turns", "n_convs", "n_rows", "content_hash")
-        return {**{k: sidecar[k] for k in keys}, "resumed": resumed}
-
-    def write_partition(group: pa.Table) -> pd.DataFrame:
-        part_id = int(group["part_id"][0].as_py())
-        folded = list(fold_partition(group, families={family: (fold_fn, schema)}, derive_census=False))
-        if folded:
-            _fam, table, _n_turns, n_convs = folded[0]
-        else:
-            table, n_convs = schema.empty_table(), 0
-        out_file = os.path.join(out_dir, f"part-{part_id:05d}.parquet")
-        sidecar = {
-            "part_id": part_id,
-            "family": family,
-            "n_turns": int(group.num_rows),
-            "n_convs": n_convs,
-            "n_rows": table.num_rows,
-            "content_hash": _publish(out_file, table),
-            "output_file": os.path.basename(out_file),
-        }
-        _write_sidecar(out_dir, part_id, sidecar)
-        return pd.DataFrame([row(sidecar, resumed=False)])
-
-    metrics = ds.groupby("part_id").map_groups(write_partition, batch_format="pyarrow")
-    fresh = metrics.to_pandas()
-    skipped = [row(e, resumed=True) for e in read_lineage(out_dir) if e["part_id"] in done]
-    return pd.concat([fresh, pd.DataFrame(skipped)], ignore_index=True) if skipped else fresh
-
-
 def read_output(out_dir: str):
     """Dataset over the completed partition files."""
     import ray.data as rd
@@ -276,6 +224,10 @@ def fold_partition(part: pa.Table, families: dict | None = None, derive_census: 
     ``np.lexsort`` and numpy boundary slicing — no per-conversation pandas
     ``groupby`` (which costs ~0.2 ms per conv, dominating at 10^5+ convs
     per run). Yields ``(family, arrow_table, n_turns, n_convs)``.
+
+    ``families=`` and ``derive_census=`` have no caller in the package:
+    they stay because ``perfbench/replay.py`` times each family's fold
+    (and the census kinship stage) separately through them.
     """
     families = families or FOLDS
 
@@ -476,12 +428,12 @@ def partitioned_extract_all_tasks(path: str, out_root: str, n_parts: int | None 
     So a run makes ``n_shards × n_groups`` exchange objects and ``n_groups``
     fold tasks instead of ``n_shards × n_parts`` and ``n_parts``.
 
-    Why not ``groupby(part_id)``: Ray Data's sort-based groupby is a full
-    barrier (boundary sampling; no fold starts until every reduce slot is
-    final), and the Dataset API cannot express a key exchange whose reduce
-    side starts per task. Measured ~1.4x faster at 8 CPUs and ~1.6x at 32
-    CPUs than the Dataset groupby path on the bench corpus, with
-    byte-identical partition files.
+    Why not a Ray Data ``groupby(part_id)``: its sort-based groupby is a
+    full barrier (boundary sampling; no fold starts until every reduce slot
+    is final), and the Dataset API cannot express a key exchange whose
+    reduce side starts per task. When both existed, this path measured
+    ~1.4x faster at 8 CPUs and ~1.6x at 32 CPUs than the groupby one on the
+    bench corpus, with byte-identical partition files.
 
     Resume: partitions with sidecars are filtered out in the shard map and
     get no fold task; their metrics rows come from the sidecars.
@@ -532,44 +484,3 @@ def partitioned_extract_all_tasks(path: str, out_root: str, n_parts: int | None 
         fresh = fresh[fresh["n_turns"] > 0]
     return _with_resumed(fresh, out_root, done)
 
-
-def partitioned_extract_all(path: str, out_root: str, n_parts: int | None = None):
-    """ALL families, ONE read, ONE shuffle through Ray Data.
-
-    Every turn gets ``part_id = md5(conv_id) % n_parts``; a single
-    ``groupby(part_id)`` co-locates each partition; the group task splits
-    its rows by family, folds each conversation with the family's oracle
-    core, writes one parquet file per (family, partition) atomically, and
-    records ONE lineage sidecar per partition (per-family row counts +
-    content hashes). Compared to running the per-family pipelines
-    separately this replaces 6 scans + 6 shuffles with 1 + 1.
-    ``partitioned_extract_all_tasks`` writes the same bytes faster.
-
-    Resume: partitions with sidecars are pruned before the shuffle.
-    Returns the per-partition metrics DataFrame.
-    """
-    import ray.data as rd
-
-    from ..runtime import shuffle_num_blocks, tune_data_context
-
-    tune_data_context()
-    n_parts = _resolve_n_parts(out_root, _list_parquet(path), n_parts)
-    done = completed_parts(out_root)
-
-    ds = rd.read_parquet(
-        path,
-        columns=["conv_id", "turn_idx", "text", "tool"],
-        override_num_blocks=shuffle_num_blocks(),
-    )
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts, done),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    def write_partition(group: pa.Table) -> pd.DataFrame:
-        part_id = int(group["part_id"][0].as_py())
-        return pd.DataFrame([_fold_and_write(out_root, part_id, group)])
-
-    metrics = ds.groupby("part_id").map_groups(write_partition, batch_format="pyarrow")
-    return _with_resumed(metrics.to_pandas(), out_root, done)

@@ -14,16 +14,26 @@ from helpers import canonical, oracle_table
 
 
 def test_partitioned_extract_and_resume(ray_session, small_corpus_dir, small_corpus_table, tmp_path):
-    out_dir = str(tmp_path / "catalog_out")
+    out_root = str(tmp_path / "extract_out")
+    out_dir = os.path.join(out_root, "catalog")
     n_parts = 8
 
+    def catalog_hashes():  # partitions without a catalog conversation write no catalog file
+        return {e["part_id"]: e["families"]["catalog"]["content_hash"]
+                for e in lineage.read_lineage(out_root) if "catalog" in e["families"]}
+
     # first run: complete
-    m1 = lineage.partitioned_extract(small_corpus_dir, "catalog", out_dir, n_parts=n_parts)
+    m1 = lineage.partitioned_extract_all_tasks(small_corpus_dir, out_root, n_parts=n_parts)
     assert not m1["resumed"].any()
-    files = sorted(f for f in os.listdir(out_dir) if f.endswith(".parquet"))
-    assert files, "no partition files written"
-    mtimes = {f: os.path.getmtime(os.path.join(out_dir, f)) for f in files}
+    files = sorted(
+        os.path.join(fam, f)
+        for fam in os.listdir(out_root) if fam != "_lineage"
+        for f in os.listdir(os.path.join(out_root, fam)) if f.endswith(".parquet")
+    )
+    assert any(f.startswith("catalog") for f in files), "no catalog partition files written"
+    mtimes = {f: os.path.getmtime(os.path.join(out_root, f)) for f in files}
     hashes1 = dict(zip(m1["part_id"], m1["content_hash"]))
+    catalog1 = catalog_hashes()
 
     # output equals the oracle
     got = lineage.read_output(out_dir).to_pandas()
@@ -33,23 +43,28 @@ def test_partitioned_extract_and_resume(ray_session, small_corpus_dir, small_cor
     )
 
     # simulate a partial failure: delete some outputs + sidecars
-    victims = [p for p in m1["part_id"] if p % 3 == 0]
+    victims = [p for p in catalog1 if p % 3 == 0]
+    assert victims
     for p in victims:
         os.remove(os.path.join(out_dir, f"part-{p:05d}.parquet"))
-        os.remove(os.path.join(out_dir, "_lineage", f"part-{p}.json"))
+        os.remove(os.path.join(out_root, "_lineage", f"part-{p}.json"))
 
     # resume: only the victims are recomputed, survivors untouched
-    m2 = lineage.partitioned_extract(small_corpus_dir, "catalog", out_dir, n_parts=n_parts)
+    m2 = lineage.partitioned_extract_all_tasks(small_corpus_dir, out_root, n_parts=n_parts)
     redone = set(m2[~m2["resumed"]]["part_id"])
     assert redone == set(victims)
-    for f, old_mtime in mtimes.items():
-        part = int(f[len("part-") : -len(".parquet")])
+    for p in victims:
+        assert os.path.exists(os.path.join(out_dir, f"part-{p:05d}.parquet"))
+        assert os.path.exists(os.path.join(out_root, "_lineage", f"part-{p}.json"))
+    for f, old_mtime in mtimes.items():  # every family's file of a survivor
+        part = int(os.path.basename(f)[len("part-") : -len(".parquet")])
         if part not in victims:
-            assert os.path.getmtime(os.path.join(out_dir, f)) == old_mtime
+            assert os.path.getmtime(os.path.join(out_root, f)) == old_mtime
 
     # identical content after resume (deterministic recompute)
     hashes2 = dict(zip(m2["part_id"], m2["content_hash"]))
     assert hashes1 == hashes2
+    assert catalog1 == catalog_hashes()
     got2 = lineage.read_output(out_dir).to_pandas()
     pd.testing.assert_frame_equal(canonical(got), canonical(got2), check_dtype=False)
 
