@@ -642,108 +642,123 @@ def simhash_pairs(sf_dir: str, max_hamming: int = 3, max_bucket: int = _MAX_BUCK
     return banded_hash_pairs(simhash_docs(sf_dir, ds=ds), max_hamming, max_bucket)
 
 
+_PAIR_COLS = ["a", "b", "hamming"]
+
+
+def _no_pairs() -> pd.DataFrame:
+    return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in _PAIR_COLS})
+
+
+def _band_rows(tbl, _key_only: bool = False):
+    """Exchange loader: signature rows (doc_id, simhash hex, band0..band3)
+    → one row per (row, band): band, band_val, doc_id, simhash and the
+    exchange key ``__k`` = band·2^16 + band_val (equal LSH buckets share a
+    key)."""
+    import pyarrow as pa
+
+    n = tbl.num_rows
+    band = np.repeat(np.arange(4, dtype=np.int64), n)
+    bval = np.concatenate(
+        [tbl[f"band{b}"].to_numpy(zero_copy_only=False).astype(np.int64) for b in range(4)]
+    )
+    return pa.table({
+        "__k": band * 65536 + bval,
+        "band": band,
+        "band_val": bval,
+        "doc_id": pa.concat_arrays([tbl["doc_id"].combine_chunks().cast(pa.int64())] * 4),
+        "simhash": pa.concat_arrays([tbl["simhash"].combine_chunks()] * 4),
+    })
+
+
+def _one_bucket(ids: np.ndarray, hashes: np.ndarray, max_hamming: int,
+                max_bucket: int) -> pd.DataFrame:
+    if len(ids) > max_bucket:
+        d = np.unpackbits(
+            np.bitwise_xor(hashes[0], hashes[1:]).view(np.uint8).reshape(-1, 8), axis=1
+        ).sum(axis=1, dtype=np.int64)
+        keep = d <= max_hamming
+        return pd.DataFrame(
+            {"a": np.full(int(keep.sum()), ids[0]), "b": ids[1:][keep], "hamming": d[keep]}
+        )
+    return _hamming_pairs_chunked(ids, hashes, max_hamming)
+
+
+def emit_band_pairs(group: pd.DataFrame, max_hamming: int, max_bucket: int) -> pd.DataFrame:
+    """Verified pairs of every (band, band_val) LSH bucket in one band-key
+    range, segmented by vectorized boundary slicing, not ``groupby``:
+    band-val groups are ~all-singleton and corpus x 4-bands sized, and a
+    pandas groupby-iteration per group pays ~0.5 ms of frame construction
+    each (measured: 20k band segments cost ~10 s at sf0.1 through the
+    groupby loop; the numpy slicing path skips singleton segments with two
+    integer compares). A bucket of more than ``max_bucket`` distinct docs
+    verifies each member against the bucket minimum only (star cap)."""
+    band = group["band"].to_numpy(np.int64)
+    bval = group["band_val"].to_numpy(np.int64)
+    ids = group["doc_id"].to_numpy(np.int64)
+    hx = group["simhash"].to_numpy(object)
+    if len(ids) == 0:
+        return _no_pairs()
+    order = np.lexsort((ids, bval, band))
+    band, bval, ids, hx = band[order], bval[order], ids[order], hx[order]
+    change = np.flatnonzero((np.diff(band) != 0) | (np.diff(bval) != 0)) + 1
+    bounds = np.concatenate(([0], change, [len(ids)]))
+    out = []
+    for i in range(len(bounds) - 1):
+        lo, hi = int(bounds[i]), int(bounds[i + 1])
+        if hi - lo < 2:
+            continue
+        seg_ids = ids[lo:hi]
+        u, first = np.unique(seg_ids, return_index=True)
+        if len(u) < 2:
+            continue
+        hashes = np.array(
+            [int(h, 16) for h in hx[lo:hi][first]], dtype=np.uint64
+        )
+        out.append(_one_bucket(u, hashes, max_hamming, max_bucket))
+    if not out:
+        return _no_pairs()
+    return pd.concat(out, ignore_index=True)[_PAIR_COLS]
+
+
+def dedup_pairs_frame(group: pd.DataFrame) -> pd.DataFrame:
+    """One ``a`` range of pairs: a pair found in several bands once, with
+    its minimum Hamming distance, sorted by (a, b)."""
+    if len(group) == 0:
+        return _no_pairs()
+    out = group.groupby(["a", "b"], as_index=False, sort=True)["hamming"].min()
+    return out.astype(np.int64)
+
+
+def banded_pair_refs(sig_refs: list, max_hamming: int = 3,
+                     max_bucket: int = _MAX_BUCKET) -> list:
+    """The banded tail on Ray tasks: signature tables (object refs) → the
+    verified pair tables' refs, in (a, b) order. Two ordered key exchanges
+    (``stages.fold.key_exchange``), no Ray Data barrier: band rows by
+    (band, band_val), so every LSH bucket is whole in one fold that
+    verifies it; then pairs by ``a``, so every fold dedups whole pair keys
+    and the ranges come out sorted."""
+    from functools import partial
+
+    from ..stages.fold import key_exchange
+
+    verify = partial(emit_band_pairs, max_hamming=max_hamming, max_bucket=max_bucket)
+    pairs = key_exchange(sig_refs, "__k", verify, load=_band_rows)
+    return key_exchange(pairs, "a", dedup_pairs_frame)
+
+
 def banded_hash_pairs(ds, max_hamming: int = 3, max_bucket: int = _MAX_BUCKET):
     """Banded 64-bit-signature near-dup pairs — the LSH tail shared by
-    text SimHash and image dHash (``ops/multimodal.media_image_neardup``):
-    input rows carry (doc_id, simhash hex, band0..band3 int16 keys);
-    output (a, b, hamming ≤ max_hamming). One band-bucketed exchange,
-    vectorized boundary-slice segmentation, chunked XOR+popcount
-    verification, star cap on oversized buckets, bucketed pair dedup."""
-
-    def band_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        frames = []
-        for b in range(4):
-            frames.append(pd.DataFrame({
-                "band": np.int64(b),
-                "band_val": batch[f"band{b}"].astype(np.int64),
-                "doc_id": batch["doc_id"],
-                "simhash": batch["simhash"],
-            }))
-        return pd.concat(frames, ignore_index=True)
-
-    banded = ds.map_batches(band_rows, batch_format="pandas")
-
-    from .common import _default_buckets
-
-    nb = _default_buckets()
-
-    def add_band_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        bv = batch["band_val"].to_numpy(np.int64).astype(np.uint64)
-        bd = batch["band"].to_numpy(np.int64).astype(np.uint64)
-        batch = batch.copy()
-        batch["__bb"] = (
-            (((bv + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)) ^ bd) % np.uint64(nb)
-        ).astype(np.int64)
-        return batch
-
-    def _one_bucket(ids: np.ndarray, hashes: np.ndarray) -> pd.DataFrame:
-        if len(ids) > max_bucket:
-            d = np.unpackbits(
-                np.bitwise_xor(hashes[0], hashes[1:]).view(np.uint8).reshape(-1, 8), axis=1
-            ).sum(axis=1, dtype=np.int64)
-            keep = d <= max_hamming
-            return pd.DataFrame(
-                {"a": np.full(int(keep.sum()), ids[0]), "b": ids[1:][keep], "hamming": d[keep]}
-            )
-        return _hamming_pairs_chunked(ids, hashes, max_hamming)
-
-    def emit_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        """All (band, band_val) LSH buckets hashed to one group — grouped
-        by hash BUCKET, not per LSH key, and segmented by vectorized
-        boundary slicing, not ``groupby``: band-val groups are
-        ~all-singleton and corpus x 4-bands sized, and BOTH a map_groups
-        call per group and a pandas groupby-iteration per group pay
-        ~0.5 ms of frame construction each (measured: 20k band segments
-        cost ~10 s at sf0.1 through the groupby loop; the numpy slicing
-        path skips singleton segments with two integer compares)."""
-        cols = ["a", "b", "hamming"]
-        band = group["band"].to_numpy(np.int64)
-        bval = group["band_val"].to_numpy(np.int64)
-        ids = group["doc_id"].to_numpy(np.int64)
-        hx = group["simhash"].to_numpy(object)
-        if len(ids) == 0:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in cols})
-        order = np.lexsort((ids, bval, band))
-        band, bval, ids, hx = band[order], bval[order], ids[order], hx[order]
-        change = np.flatnonzero((np.diff(band) != 0) | (np.diff(bval) != 0)) + 1
-        bounds = np.concatenate(([0], change, [len(ids)]))
-        out = []
-        for i in range(len(bounds) - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if hi - lo < 2:
-                continue
-            seg_ids = ids[lo:hi]
-            u, first = np.unique(seg_ids, return_index=True)
-            if len(u) < 2:
-                continue
-            hashes = np.array(
-                [int(h, 16) for h in hx[lo:hi][first]], dtype=np.uint64
-            )
-            out.append(_one_bucket(u, hashes))
-        if not out:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in cols})
-        return pd.concat(out, ignore_index=True)[cols]
-
-    pairs = (
-        banded.map_batches(add_band_bucket, batch_format="pandas")
-        .groupby("__bb")
-        .map_groups(emit_pairs, batch_format="pandas")
-    )
-    # a pair can surface from several bands → exact dedup on the pair key.
-    # Bucketed (not groupby().aggregate()): pair keys are ~all distinct, and
-    # Ray's hash aggregate pays per-GROUP overhead (measured 250+ s for
-    # 500k groups) — the same pathology ops/common.bucketed_group_agg fixes
-    # for exact dedup.
+    text SimHash (docs and conversations) and image/audio hashes
+    (``ops/multimodal.media_*_neardup``): input rows carry (doc_id, simhash
+    hex, band0..band3 16-bit keys); output (a, b, hamming ≤ max_hamming),
+    sorted by (a, b). The Dataset's Arrow blocks feed
+    ``banded_pair_refs`` (pigeonhole band buckets, chunked XOR+popcount
+    verification, star cap on oversized buckets, pair dedup). Every fold
+    returns a typed table, so ``schema()`` is int64 (a, b, hamming) even
+    when no pair survives."""
     import ray.data as rd
 
-    from .common import bucketed_group_agg
-
-    pairs = bucketed_group_agg(pairs, ["a", "b"], {"hamming": "min"}).sort(["a", "b"])
-    # Ray Data runs no UDF on an empty block, so when no pair survives the
-    # sorted blocks carry no schema; one typed empty block keeps
-    # ``schema()`` at the twin's int64 (a, b, hamming) without another pass
-    none = pd.DataFrame({c: pd.Series(dtype=np.int64) for c in ("a", "b", "hamming")})
-    return pairs.union(rd.from_pandas(none))
+    return rd.from_arrow_refs(banded_pair_refs(ds.to_arrow_refs(), max_hamming, max_bucket))
 
 
 # Exact-path hot-shingle guard: a (source, shingle) posting list longer
@@ -1019,14 +1034,106 @@ ORDER BY doc_id
 DUP_CLUSTERS_SQL = DUP_CLUSTERS_SQL.replace("{NGRAM_DF_CAP}", str(NGRAM_DF_CAP))
 
 
+def _components_table(*edge_tables):
+    """Components task: every edge table's (a, b) pairs → (doc_id, cluster,
+    cluster_size) of each endpoint, by vectorized min-label propagation
+    with pointer jumping (``connected_components_batch``). It sees whole
+    components (every member of an endpoint's component is an endpoint),
+    so the sizes are final."""
+    import pyarrow as pa
+
+    def col(name: str) -> np.ndarray:
+        return np.concatenate([np.empty(0, np.int64)] + [
+            t[name].to_numpy(zero_copy_only=False).astype(np.int64) for t in edge_tables
+        ])
+
+    a, b = col("a"), col("b")
+    out = connected_components_batch(
+        pd.DataFrame({"src": np.concatenate([a, b]), "dst": np.concatenate([b, a])})
+    )
+    size = out.groupby("label", sort=False)["node"].transform("size")
+    return pa.table({
+        "doc_id": pa.array(out["node"].to_numpy(np.int64)),
+        "cluster": pa.array(out["label"].to_numpy(np.int64)),
+        "cluster_size": pa.array(size.to_numpy(np.int64)),
+    })
+
+
+def _load_members(shard, _key_only: bool):
+    """A universe table's doc_ids become singletons (cluster = doc_id, size
+    1); a components table passes through."""
+    import pyarrow as pa
+
+    if "cluster" in shard.column_names:
+        return shard
+    ids = shard["doc_id"].combine_chunks().cast(pa.int64())
+    return pa.table({"doc_id": ids, "cluster": ids,
+                     "cluster_size": pa.array(np.ones(len(ids), np.int64))})
+
+
+def merge_members_frame(group: pd.DataFrame) -> pd.DataFrame:
+    """One doc_id range of singletons and endpoint labels: per doc the
+    minimum cluster and the maximum size (an endpoint's label and size win
+    over its singleton row), sorted by doc_id."""
+    out = group.groupby("doc_id", as_index=False, sort=True).agg(
+        cluster=("cluster", "min"), cluster_size=("cluster_size", "max")
+    )
+    return out.astype(np.int64)
+
+
+def clusters_from_refs(edge_refs: list, universe_refs: list, max_rounds: int = 32):
+    """Connected components of the edge tables' (a, b) pairs over every
+    doc_id of the universe tables → Dataset(doc_id, cluster = min member
+    doc_id, cluster_size), sorted by doc_id.
+
+    While the bidirectional int64 (src, dst) edge table (32 bytes an edge)
+    fits ``_SMALL_EDGE_BYTES`` — verified near-dup edges are sparse, so
+    this is the common case even on large corpora — it runs on Ray tasks
+    with no Ray Data barrier: ONE components task over the edge refs
+    (vectorized min-label propagation + pointer jumping, O(log n) numpy
+    rounds, sizes included), then one ordered key exchange
+    (``stages.fold.key_exchange``) by doc_id merges it with the universe:
+    docs that are not endpoints are always singletons of size 1. Larger
+    edge sets take ``_distributed_clusters``."""
+    import ray
+    import ray.data as rd
+
+    from ..stages.fold import key_exchange
+
+    edges = rd.from_arrow_refs(edge_refs)
+    if 32 * edges.count() > _SMALL_EDGE_BYTES:
+        return _distributed_clusters(edges, rd.from_arrow_refs(universe_refs), max_rounds)
+    comps = ray.remote(_components_table).remote(*edge_refs)
+    return rd.from_arrow_refs(
+        key_exchange([*universe_refs, comps], "doc_id", merge_members_frame, load=_load_members)
+    )
+
+
 def dup_clusters(sf_dir: str, max_hamming: int = 3, max_rounds: int = 32,
                  edges=None, universe=None):
-    """Near-duplicate CLUSTERS: distributed connected components over the
-    SimHash near-dup edge set — the "cluster → keep one representative"
-    primitive a dedup pipeline actually consumes (pair lists are an
-    intermediate; cluster labels are the deliverable).
+    """Near-duplicate CLUSTERS: connected components over the SimHash
+    near-dup edge set — the "cluster → keep one representative" primitive
+    a dedup pipeline actually consumes (pair lists are an intermediate;
+    cluster labels are the deliverable). ``edges`` lets a caller that
+    already computed a pair set (e.g. the chained pairs+clusters driver
+    query, or an exact-Jaccard edge table) reuse it instead of re-running
+    the banding + verification stages; ``universe`` overrides the node set
+    (any Dataset with a doc_id column; default: every document).
 
-    Min-label propagation, fully distributed (no driver union-find over an
+    Output: ``(doc_id, cluster, cluster_size)`` — cluster = min doc_id of
+    the component; singletons keep themselves — sorted by doc_id, from
+    ``clusters_from_refs`` over the Datasets' Arrow blocks. Verified
+    against a union-find reference over the same edges (tests)."""
+    if edges is None:
+        edges = simhash_pairs(sf_dir, max_hamming=max_hamming)
+    if universe is None:
+        universe = _docs(sf_dir, columns=["doc_id"])
+    return clusters_from_refs(edges.to_arrow_refs(),
+                        universe.select_columns(["doc_id"]).to_arrow_refs(), max_rounds)
+
+
+def _distributed_clusters(edges, docs, max_rounds: int):
+    """Min-label propagation, fully distributed (no single task over an
     edge list that is corpus-sized in a duplicate-heavy crawl), shaped to
     keep the iterative part SMALL:
 
@@ -1042,19 +1149,8 @@ def dup_clusters(sf_dir: str, max_hamming: int = 3, max_rounds: int = 32,
       so rounds needed = O(log component-diameter) — a 64-deep chain
       converges in ≤8 rounds, and ``max_rounds`` is an unreachable
       safety bound rather than a practical limit.
-
-    Output: ``(doc_id, cluster, cluster_size)`` — cluster = min doc_id of
-    the component; singletons keep themselves. Verified against a
-    union-find reference over the same edges (tests).
     """
     from .common import _default_buckets, bucketed_group_agg, cogroup_join
-
-    # ``edges`` lets a caller that already computed a pair set (e.g. the
-    # chained pairs+clusters driver query, or an exact-Jaccard edge table)
-    # reuse it instead of re-running the banding + verification stages
-    if edges is None:
-        edges = simhash_pairs(sf_dir, max_hamming=max_hamming)
-    edges = edges.select_columns(["a", "b"])
 
     def bidir(batch: pd.DataFrame) -> pd.DataFrame:
         a = batch["a"].to_numpy(dtype=np.int64)
@@ -1065,110 +1161,62 @@ def dup_clusters(sf_dir: str, max_hamming: int = 3, max_rounds: int = 32,
 
     bi = edges.map_batches(bidir, batch_format="pandas").materialize()
 
-    if (bi.size_bytes() or 0) <= _SMALL_EDGE_BYTES:
-        # SMALL edge set (the common post-verification case — near-dup
-        # edges are sparse): solve connected components in ONE task with
-        # vectorized min-label propagation + pointer jumping (O(log n)
-        # numpy rounds), instead of paying ~6 Ray barriers per distributed
-        # round. repartition(1) keeps this inside the Dataset API; the
-        # distributed loop below remains the path for edge sets too big
-        # for one worker's heap. Component SIZES come out of the same
-        # task (every member of an endpoint component is an endpoint, so
-        # the single task sees whole components), and docs that are not
-        # endpoints are always singletons of size 1 — one fused
-        # bucketed {min label, max size} pass finishes the job, instead
-        # of the separate size-count + size-join barriers the
-        # distributed path needs.
-        def components_sized(batch: pd.DataFrame) -> pd.DataFrame:
-            out = connected_components_batch(batch)
-            sizes = out.groupby("label", sort=False)["node"].transform("size")
-            out["cluster_size"] = sizes.astype(np.int64)
-            return out
-
-        endpoint = (
-            bi.repartition(1)
-            .map_batches(components_sized, batch_format="pandas")
-        )
-        docs = universe if universe is not None else _docs(sf_dir, columns=["doc_id"])
-
-        def init_singleton(batch: pd.DataFrame) -> pd.DataFrame:
-            ids = batch["doc_id"].to_numpy(dtype=np.int64)
-            return pd.DataFrame(
-                {"node": ids, "label": ids, "cluster_size": np.int64(1)}
-            )
-
-        full = bucketed_group_agg(
-            docs.map_batches(init_singleton, batch_format="pandas").union(endpoint),
-            ["node"], {"label": "min", "cluster_size": "max"},
+    # round 0 folded into initialization: every endpoint starts from
+    # min(itself, its direct neighbors)
+    def seed(batch: pd.DataFrame) -> pd.DataFrame:
+        src = batch["src"].to_numpy(dtype=np.int64)
+        dst = batch["dst"].to_numpy(dtype=np.int64)
+        return pd.DataFrame(
+            {"node": np.concatenate([src, dst]), "label": np.concatenate([src, src])}
         )
 
-        def project(batch: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "doc_id": batch["node"].astype(np.int64),
-                    "cluster": batch["label"].astype(np.int64),
-                    "cluster_size": batch["cluster_size"].astype(np.int64),
-                }
-            )
-
-        return full.map_batches(project, batch_format="pandas").sort("doc_id")
-    else:
-        # round 0 folded into initialization: every endpoint starts from
-        # min(itself, its direct neighbors)
-        def seed(batch: pd.DataFrame) -> pd.DataFrame:
-            src = batch["src"].to_numpy(dtype=np.int64)
-            dst = batch["dst"].to_numpy(dtype=np.int64)
-            return pd.DataFrame(
-                {"node": np.concatenate([src, dst]), "label": np.concatenate([src, src])}
-            )
-
-        # block-count discipline: union adds blocks and the bucketed
-        # combine does not coalesce them, so without the repartition the
-        # per-round block count DOUBLES (2^rounds blocks — measured 95 s
-        # for round 8 of a planted chain at toy scale). Coalescing to the
-        # bucket count each round keeps rounds O(1)-cost.
-        nb = _default_buckets()
+    # block-count discipline: union adds blocks and the bucketed
+    # combine does not coalesce them, so without the repartition the
+    # per-round block count DOUBLES (2^rounds blocks — measured 95 s
+    # for round 8 of a planted chain at toy scale). Coalescing to the
+    # bucket count each round keeps rounds O(1)-cost.
+    nb = _default_buckets()
+    labels = (
+        bucketed_group_agg(
+            bi.map_batches(seed, batch_format="pandas"), ["node"], {"label": "min"}
+        )
+        .repartition(nb)
+        .materialize()
+    )
+    prev_sum = labels.sum("label")
+    converged = False
+    for _ in range(max_rounds):
+        offers = cogroup_join(bi, labels, "src", "node", ["dst"], ["label"]).map_batches(
+            lambda b: pd.DataFrame(
+                {"node": b["dst"].astype(np.int64), "label": b["label"].astype(np.int64)}
+            ),
+            batch_format="pandas",
+        )
+        # pointer jumping: each node also receives its LABEL's label
+        # (one labels⋈labels cogroup — every label value is itself an
+        # endpoint node, since labels start as endpoint ids and only
+        # min-combine), halving pointer paths each round so a
+        # chain-shaped component converges in O(log diameter) rounds
+        # instead of O(diameter) — the max_rounds raise is
+        # unreachable below ~2^32-deep chains.
+        jumps = cogroup_join(labels, labels, "label", "node", ["node"], ["label"]).map_batches(
+            lambda b: pd.DataFrame(
+                {"node": b["node"].astype(np.int64), "label": b["label"].astype(np.int64)}
+            ),
+            batch_format="pandas",
+        )
         labels = (
             bucketed_group_agg(
-                bi.map_batches(seed, batch_format="pandas"), ["node"], {"label": "min"}
+                labels.union(offers).union(jumps), ["node"], {"label": "min"}
             )
             .repartition(nb)
             .materialize()
         )
-        prev_sum = labels.sum("label")
-        converged = False
-        for _ in range(max_rounds):
-            offers = cogroup_join(bi, labels, "src", "node", ["dst"], ["label"]).map_batches(
-                lambda b: pd.DataFrame(
-                    {"node": b["dst"].astype(np.int64), "label": b["label"].astype(np.int64)}
-                ),
-                batch_format="pandas",
-            )
-            # pointer jumping: each node also receives its LABEL's label
-            # (one labels⋈labels cogroup — every label value is itself an
-            # endpoint node, since labels start as endpoint ids and only
-            # min-combine), halving pointer paths each round so a
-            # chain-shaped component converges in O(log diameter) rounds
-            # instead of O(diameter) — the max_rounds raise is
-            # unreachable below ~2^32-deep chains.
-            jumps = cogroup_join(labels, labels, "label", "node", ["node"], ["label"]).map_batches(
-                lambda b: pd.DataFrame(
-                    {"node": b["node"].astype(np.int64), "label": b["label"].astype(np.int64)}
-                ),
-                batch_format="pandas",
-            )
-            labels = (
-                bucketed_group_agg(
-                    labels.union(offers).union(jumps), ["node"], {"label": "min"}
-                )
-                .repartition(nb)
-                .materialize()
-            )
-            cur_sum = labels.sum("label")
-            if cur_sum == prev_sum:
-                converged = True
-                break
-            prev_sum = cur_sum
+        cur_sum = labels.sum("label")
+        if cur_sum == prev_sum:
+            converged = True
+            break
+        prev_sum = cur_sum
     if not converged:
         # min-label propagation needs ~component-diameter rounds; the star
         # cap bounds bucket size, NOT chain depth, so a deep chain of
@@ -1182,11 +1230,7 @@ def dup_clusters(sf_dir: str, max_hamming: int = 3, max_rounds: int = 32,
         )
 
     # merge singletons back: every doc contributes (doc_id, doc_id); the
-    # bucketed min keeps the propagated label for endpoint nodes.
-    # ``universe`` overrides the node set (e.g. conversation keys for the
-    # transcript arm) — any Dataset with a doc_id column.
-    docs = universe if universe is not None else _docs(sf_dir, columns=["doc_id"])
-
+    # bucketed min keeps the propagated label for endpoint nodes
     def init_all(batch: pd.DataFrame) -> pd.DataFrame:
         ids = batch["doc_id"].to_numpy(dtype=np.int64)
         return pd.DataFrame({"node": ids, "label": ids})

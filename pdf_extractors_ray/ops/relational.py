@@ -693,17 +693,27 @@ ORDER BY c_nationkey
 
 def exact_grouped_quantile_int(ds, group_col: str, col: str, q_ppm: int,
                                n_bins: int = 1024):
+    """One quantile of ``exact_grouped_quantiles_int``: returns
+    {group: (n, rank, value)}."""
+    return {gk: got[0] for gk, got in
+            exact_grouped_quantiles_int(ds, group_col, col, (q_ppm,), n_bins).items()}
+
+
+def exact_grouped_quantiles_int(ds, group_col: str, col: str, q_ppms,
+                                n_bins: int = 1024):
     """PER-GROUP exact quantile selection over an int64 column — the
     grouped generalization of ``exact_quantiles_int``: every still-active
-    group's candidate range is histogrammed in the same pass (per-batch
-    numpy ``bincount`` partials keyed by group, bucketed tiny combine),
-    so total scans stay ≤ ceil(log_B(domain width)) regardless of group
-    count. Groups must be a BOUNDED set (clusters, sources — not a
-    corpus-scale key): the driver holds one (lo, hi, k) triple per group.
+    (group, quantile) candidate range is histogrammed in the same pass
+    (per-batch numpy ``bincount`` partials keyed by range, bucketed tiny
+    combine), so one min/max pass and ≤ ceil(log_B(domain width))
+    histogram passes serve every group AND every quantile in ``q_ppms``.
+    Groups must be a BOUNDED set (clusters, sources — not a corpus-scale
+    key): the driver holds one (lo, hi, k) triple per group and quantile.
 
     Rank semantics: k-th smallest (1-based), k = (q_ppm*n + 999999) //
     1e6 — the integer ceil, so the SQL twin can use the same formula
-    without float CEIL ambiguity. Returns {group: (n, rank, value)}.
+    without float CEIL ambiguity. Returns {group: [(n, rank, value) per
+    q_ppm, in order]}.
     """
     from .common import grouped_sums
 
@@ -724,61 +734,71 @@ def exact_grouped_quantile_int(ds, group_col: str, col: str, q_ppm: int,
         .groupby(group_col)
         .agg({"n": "sum", "lo": "min", "hi": "max"})
     )
-    state = {
-        int(gk): {
+    # one narrowing state per (group, quantile); its index keys the partials
+    state = [
+        {
+            "g": int(gk),
             "lo": int(r["lo"]),
             "hi": int(r["hi"]) + 1,
-            "k": (q_ppm * int(r["n"]) + 999_999) // 1_000_000,
+            "k": (q * int(r["n"]) + 999_999) // 1_000_000,
             "n": int(r["n"]),
             "val": None,
         }
         for gk, r in parts.iterrows()
-    }
+        for q in q_ppms
+    ]
 
-    while any(s["val"] is None for s in state.values()):
-        ranges = {
-            gk: (s["lo"], s["hi"], max(1, -(-(s["hi"] - s["lo"]) // n_bins)))
-            for gk, s in state.items()
-            if s["val"] is None
-        }
+    while any(s["val"] is None for s in state):
+        by_group: dict[int, list] = {}
+        for i, s in enumerate(state):
+            if s["val"] is None:
+                width = max(1, -(-(s["hi"] - s["lo"]) // n_bins))
+                by_group.setdefault(s["g"], []).append((i, s["lo"], s["hi"], width))
 
         def hist(batch: pd.DataFrame) -> pd.DataFrame:
             gv = batch[group_col].to_numpy(np.int64)
             v = batch[col].to_numpy(np.int64)
-            gs, bins, cnts = [], [], []
-            for gk, (rlo, rhi, width) in ranges.items():
-                m = v[(gv == gk) & (v >= rlo) & (v < rhi)]
-                if len(m) == 0:
-                    continue
-                bc = np.bincount((m - rlo) // width, minlength=1)
-                nz = np.nonzero(bc)[0]
-                gs.append(np.full(len(nz), gk, dtype=np.int64))
-                bins.append(nz.astype(np.int64))
-                cnts.append(bc[nz].astype(np.int64))
-            if not gs:
+            ids, bins, cnts = [], [], []
+            for gk, ranges in by_group.items():
+                vg = v[gv == gk]
+                for i, rlo, rhi, width in ranges:
+                    m = vg[(vg >= rlo) & (vg < rhi)]
+                    if len(m) == 0:
+                        continue
+                    bc = np.bincount((m - rlo) // width, minlength=1)
+                    nz = np.nonzero(bc)[0]
+                    ids.append(np.full(len(nz), i, dtype=np.int64))
+                    bins.append(nz.astype(np.int64))
+                    cnts.append(bc[nz].astype(np.int64))
+            if not ids:
                 return pd.DataFrame({"g": [], "bin": [], "cnt": []}).astype(np.int64)
             return pd.DataFrame(
-                {"g": np.concatenate(gs), "bin": np.concatenate(bins),
+                {"g": np.concatenate(ids), "bin": np.concatenate(bins),
                  "cnt": np.concatenate(cnts)}
             )
 
         combined = grouped_sums(
             ds.map_batches(hist, batch_format="pandas"), ["g", "bin"], ["cnt"]
         ).to_pandas()
-        for gk, (rlo, rhi, width) in ranges.items():
-            s = state[gk]
-            rows = combined[combined["g"] == gk].sort_values("bin")
-            cum = rows["cnt"].cumsum().to_numpy()
-            pos = int(np.searchsorted(cum, s["k"]))
-            b = int(rows["bin"].iloc[pos])
-            s["k"] -= int(cum[pos - 1]) if pos > 0 else 0
-            s["lo"], s["hi"] = rlo + b * width, min(rhi, rlo + (b + 1) * width)
-            if s["hi"] - s["lo"] == 1:
-                s["val"] = s["lo"]
+        for ranges in by_group.values():
+            for i, rlo, rhi, width in ranges:
+                s = state[i]
+                rows = combined[combined["g"] == i].sort_values("bin")
+                cum = rows["cnt"].cumsum().to_numpy()
+                pos = int(np.searchsorted(cum, s["k"]))
+                b = int(rows["bin"].iloc[pos])
+                s["k"] -= int(cum[pos - 1]) if pos > 0 else 0
+                s["lo"], s["hi"] = rlo + b * width, min(rhi, rlo + (b + 1) * width)
+                if s["hi"] - s["lo"] == 1:
+                    s["val"] = s["lo"]
 
+    out: dict = {}
+    for s in state:
+        out.setdefault(s["g"], []).append(s)
     return {
-        gk: (s["n"], (q_ppm * s["n"] + 999_999) // 1_000_000, s["val"])
-        for gk, s in state.items()
+        gk: [(s["n"], (q * s["n"] + 999_999) // 1_000_000, s["val"])
+             for s, q in zip(ss, q_ppms)]
+        for gk, ss in out.items()
     }
 
 

@@ -17,7 +17,10 @@ turns together: ONE conversation exchange (``stages.fold.conv_exchange``)
 the op's frame once per range, with vectorized boundary-slice aggregation
 inside it. The ranges come out in conv_id order, so conversation-keyed
 outputs need no sort, and bounded rollups (role transitions, per-tool
-moments) sum their per-range partials in the calling process.
+moments) sum their per-range partials in the calling process. The dedup
+ops chain further ordered key exchanges (``stages.fold.key_exchange``) on
+the fold outputs' object refs — by digest, LSH band, pair or doc_id — so
+none of them passes through a Ray Data groupby, sort or repartition.
 """
 
 from __future__ import annotations
@@ -171,6 +174,26 @@ def conv_digest_frame(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def conv_dup_label_frame(group: pd.DataFrame) -> pd.DataFrame:
+    """Representative (minimum conv_id) and duplicate flag per conversation
+    for one digest range: every row of a digest is in the range, so the
+    in-range group min is the global one."""
+    conv = group["conv_id"].to_numpy(object)
+    rep = group.groupby("conv_digest", sort=False)["conv_id"].transform("min").to_numpy(object)
+    return pd.DataFrame(
+        {
+            "conv_id": conv,
+            "conv_digest": group["conv_digest"].to_numpy(object),
+            "rep_conv_id": rep,
+            "is_dup": (conv != rep).astype(np.int64),
+        }
+    )
+
+
+def _by_conv_id(group: pd.DataFrame) -> pd.DataFrame:
+    return group.sort_values("conv_id", kind="mergesort").reset_index(drop=True)
+
+
 def transcript_conv_dedup(path: str):
     """Exact duplicate-CONVERSATION detection: order-sensitive full-text
     digest per conversation → group by digest → representative = minimum
@@ -181,54 +204,22 @@ def transcript_conv_dedup(path: str):
     the digest doing what per-doc md5 cannot: two conversations whose
     turns arrive in different physical orders but restore to the same
     logical sequence dedup together, while a turn swap keeps them apart.
-    Shape: the conversation exchange (``conv_exchange``, with the per-turn
-    md5 map-side so 32-byte digests cross it, not text) builds digests;
-    ONE digest-bucketed exchange then both picks representatives
-    (in-bucket grouped MIN — exact, because all rows of a digest
-    co-locate) and labels members, with nothing broadcast and only
-    conversation-cardinality rows moving."""
-    from ..stages.fold import conv_exchange
+    Shape: three ordered key exchanges (``stages.fold``) on Ray tasks, no
+    Ray Data barrier, only conversation-cardinality rows moving after the
+    first. The conversation exchange builds digests, with the per-turn md5
+    map-side so 32-byte digests cross it, not text; the digest exchange
+    labels every conversation (all rows of a digest share a range, so the
+    in-range MIN is exact); the conv_id exchange returns the labels to
+    conv_id order."""
+    import ray.data
 
-    digests = conv_exchange(
+    from ..stages.fold import conv_exchange_refs, key_exchange
+
+    digests = conv_exchange_refs(
         path, ["conv_id", "turn_idx", "text"], conv_digest_frame, pre=turn_digest_batch
     )
-
-    # ONE digest-bucketed exchange resolves representatives AND labels
-    # members: rows sharing a digest co-locate in their hash bucket, so
-    # the in-bucket transform('min') is an exact global group min — no
-    # separate aggregation + join-back round trips (measured: the fused
-    # exchange replaced a bucketed agg + cogroup join worth ~2/3 of the
-    # op's wall-clock). The exchange carries conversation-cardinality
-    # (conv_id, digest) rows.
-    from .common import _default_buckets
-
-    nb = _default_buckets()
-
-    def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[["conv_id", "conv_digest"]].copy()
-        out["__b"] = (
-            pd.util.hash_array(out["conv_digest"].to_numpy(object)) % nb
-        ).astype(np.int64)
-        return out
-
-    def label(group: pd.DataFrame) -> pd.DataFrame:
-        rep = group.groupby("conv_digest", sort=False)["conv_id"].transform("min")
-        return pd.DataFrame(
-            {
-                "conv_id": group["conv_id"].to_numpy(object),
-                "conv_digest": group["conv_digest"].to_numpy(object),
-                "rep_conv_id": rep.to_numpy(object),
-                "is_dup": (group["conv_id"].to_numpy(object) != rep.to_numpy(object)).astype(np.int64),
-            }
-        )
-
-    labeled = (
-        digests.map_batches(bucket, batch_format="pandas")
-        .groupby("__b")
-        .map_groups(label, batch_format="pandas")
-    )
-
-    return labeled.sort("conv_id")
+    labels = key_exchange(digests, "conv_digest", conv_dup_label_frame)
+    return ray.data.from_arrow_refs(key_exchange(labels, "conv_id", _by_conv_id))
 
 
 def transcript_conv_dedup_sql(path: str) -> str:
@@ -247,6 +238,54 @@ ORDER BY d.conv_id
 """
 
 
+def _conv_key(conv_id) -> int:
+    """52-bit md5 prefix of the conv_id string: works for ANY id scheme
+    (twin: ``('0x' || substr(md5(conv_id), 1, 13))::BIGINT``). 52 bits, not
+    60, on purpose: the distributed cluster loop rides the sparse-safe
+    cogroup exchange, whose null-interleaved merges promote int64 through
+    float64 (exact only to 2^53); a 60-bit key silently splits into
+    real+rounded node pairs (found as a 1.7x node inflation at sf1).
+    Birthday budget: ~1.6e-4 collision odds at 1.2M convs; at the 10^12
+    design point conversation identity uses the 128-bit STRING digest path
+    (``transcript_conv_dedup``) — documented, not silent."""
+    return int(hashlib.md5(str(conv_id).encode()).hexdigest()[:13], 16)
+
+
+def conv_sig_frame(group: pd.DataFrame) -> pd.DataFrame:
+    """Per-conversation SimHash signature rows (doc_id = ``_conv_key``,
+    simhash hex, band0..band3) for one conv_id range, over the turns in
+    restored order joined by one space; conversations without tokens carry
+    no signature."""
+    from ..stages.fold import conv_boundaries
+    from .dedup import simhash_rows
+
+    conv = np.asarray(group["conv_id"], dtype=object)
+    order, bounds = conv_boundaries(conv, np.asarray(group["turn_idx"], dtype=np.int64))
+    tx = [t if isinstance(t, str) else "" for t in np.asarray(group["text"], object)[order]]
+    ids, texts = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        text = " ".join(tx[lo:hi])
+        if not text.split():
+            continue  # empty conversations carry no signature
+        ids.append(_conv_key(conv[order[lo]]))
+        texts.append(text)
+    df = pd.DataFrame({"doc_id": np.asarray(ids, np.int64),
+                       "text": pd.Series(texts, dtype=object)})
+    out = simhash_rows(df, {})
+    out["doc_id"] = out["doc_id"].astype(np.int64)
+    for b in range(4):
+        out[f"band{b}"] = out[f"band{b}"].astype(np.int64)
+    return out
+
+
+def _conv_neardup_refs(path: str, max_hamming: int) -> list:
+    from ..stages.fold import conv_exchange_refs
+    from .dedup import banded_pair_refs
+
+    sigs = conv_exchange_refs(path, ["conv_id", "turn_idx", "text"], conv_sig_frame)
+    return banded_pair_refs(sigs, max_hamming=max_hamming)
+
+
 def transcript_conv_neardup(path: str, max_hamming: int = 3):
     """Conversation-level NEAR-duplicate pairs over the transcript table
     — the transcript arm of the SimHash dedup family: agent re-rolls and
@@ -255,58 +294,35 @@ def transcript_conv_neardup(path: str, max_hamming: int = 3):
     them. Each conversation's turns RESTORE (the conversation exchange,
     in-range sort by (conv_id, turn_idx) — the north rule's ordering
     invariant made load-bearing: swapping two turns changes the
-    signature) and concatenate to one text; the shared
-    banded tail (``dedup.banded_hash_pairs``: 4×16-bit pigeonhole
+    signature) and concatenate to one text (``conv_sig_frame``); the
+    shared banded tail (``dedup.banded_pair_refs``: 4×16-bit pigeonhole
     bands, star cap, chunked XOR+popcount verification) emits
-    (a, b, hamming) keyed by a 52-bit md5 prefix of the conv_id string
-    — format-agnostic (any conv_id scheme works; no ``conv-%06d``
-    assumption), 52 bits so the key survives float64 promotion in the
-    sparse-safe cogroup exchange downstream (cluster resolution); see
-    ``conv_sig`` for the full budget note.
+    (a, b, hamming) keyed by the 52-bit ``_conv_key`` of the conv_id
+    string, sorted by (a, b).
 
-    Scale shape: after the conversation exchange only conversation-
-    cardinality signature rows move (the text leaves the fold as a 64-bit
-    hash);
-    conversations with zero tokens are excluded on both engines (an
-    all-zero signature would pair every empty conv with every other).
-    Pinned to ``transcript_conv_neardup_sql`` (bit-exact below the
-    shared ``_MAX_BUCKET`` star cap — see the twin's docstring for the
-    two documented equality assumptions)."""
-    from ..stages.fold import conv_boundaries, conv_exchange
-    from .dedup import banded_hash_pairs, simhash_rows
+    Scale shape: three ordered key exchanges on Ray tasks, no Ray Data
+    barrier — conversations by conv_id, band rows by (band, value), pairs
+    by ``a``. After the first only conversation-cardinality signature rows
+    move (the text leaves the fold as a 64-bit hash); conversations with
+    zero tokens are excluded on both engines (an all-zero signature would
+    pair every empty conv with every other). Pinned to
+    ``transcript_conv_neardup_sql`` (bit-exact below the shared
+    ``_MAX_BUCKET`` star cap — see the twin's docstring for the two
+    documented equality assumptions)."""
+    import ray.data
 
-    def conv_sig(group: pd.DataFrame) -> pd.DataFrame:
-        conv = np.asarray(group["conv_id"], dtype=object)
-        order, bounds = conv_boundaries(conv, np.asarray(group["turn_idx"], dtype=np.int64))
-        tx = [t if isinstance(t, str) else "" for t in np.asarray(group["text"], object)[order]]
-        ids, texts = [], []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            cid, text = conv[order[lo]], " ".join(tx[lo:hi])
-            if not text.split():
-                continue  # empty conversations carry no signature
-            # 52-bit md5 prefix of the conv_id string: works for ANY id
-            # scheme (twin: ('0x' || substr(md5(conv_id), 1, 13))::BIGINT).
-            # 52 bits — not 60 — on purpose: cluster resolution downstream
-            # rides the sparse-safe cogroup exchange, whose null-interleaved
-            # merges promote int64 through float64 (exact only to 2^53);
-            # a 60-bit key silently splits into real+rounded node pairs
-            # (found as a 1.7x node inflation at sf1). Birthday budget:
-            # ~1.6e-4 collision odds at 1.2M convs; at the 10^12 design
-            # point conversation identity uses the 128-bit STRING digest path
-            # (transcript_conv_dedup) — documented, not silent.
-            ids.append(int(hashlib.md5(str(cid).encode()).hexdigest()[:13], 16))
-            texts.append(text)
-        cache: dict = {}
-        df = pd.DataFrame({"doc_id": np.asarray(ids, np.int64),
-                           "text": pd.Series(texts, dtype=object)})
-        out = simhash_rows(df, cache)
-        out["doc_id"] = out["doc_id"].astype(np.int64)
-        for b in range(4):
-            out[f"band{b}"] = out[f"band{b}"].astype(np.int64)
-        return out
+    return ray.data.from_arrow_refs(_conv_neardup_refs(path, max_hamming))
 
-    sigs = conv_exchange(path, ["conv_id", "turn_idx", "text"], conv_sig)
-    return banded_hash_pairs(sigs, max_hamming=max_hamming)
+
+def _conv_key_table(files: list[str]):
+    """Universe task: the distinct ``_conv_key`` of every conversation in
+    ``files`` → Arrow table (doc_id)."""
+    import pyarrow as pa
+
+    from ..stages.fold import _read_shard
+
+    convs = pd.unique(np.asarray(_read_shard(files, ["conv_id"])["conv_id"].to_pylist(), object))
+    return pa.table({"doc_id": pa.array([_conv_key(c) for c in convs], pa.int64())})
 
 
 def transcript_conv_clusters(path: str, max_hamming: int = 3,
@@ -316,35 +332,27 @@ def transcript_conv_clusters(path: str, max_hamming: int = 3,
     (1.2M convs): the PAIR list grows ~96x at 10x convs (972k → 93.6M
     pairs; duplicate-group size grows with corpus, so pairwise output is
     inherently quadratic in group size), while clusters stay linear —
-    one row per conversation. Edges come from
-    ``transcript_conv_neardup`` (banded SimHash verification); the
-    universe is EVERY conversation (hashed 52-bit float-exact conv
-    key — see ``conv_sig``), so empty
-    and unique conversations appear as singletons; components resolve
-    with the shared pointer-jumping min-label propagation
-    (``dedup.dup_clusters(universe=...)``).
+    one row per conversation. Edges are ``transcript_conv_neardup``'s
+    pair refs; the universe is EVERY conversation's ``_conv_key`` (one
+    task per file group), so empty and unique conversations appear as
+    singletons; components resolve through ``dedup.clusters_from_refs``:
+    one components task over the pair refs and one doc_id-range merge of
+    the universe while the edges fit one task, the distributed
+    pointer-jumping loop beyond that.
 
     Output: (doc_id = conv key, cluster = min member key,
     cluster_size), sorted by doc_id. Pinned to
     ``transcript_conv_clusters_sql`` (recursive-CTE transitive closure
     over the bit-exact pair twin)."""
-    from ..sources.transcripts import read_transcripts
-    from .dedup import dup_clusters
+    import ray
 
-    edges = transcript_conv_neardup(path, max_hamming=max_hamming)
+    from ..stages.fold import parquet_shards
+    from .dedup import clusters_from_refs
 
-    def conv_keys(batch: pd.DataFrame) -> pd.DataFrame:
-        u = batch["conv_id"].drop_duplicates()
-        ids = [int(hashlib.md5(str(c).encode()).hexdigest()[:13], 16) for c in u]
-        return pd.DataFrame({"doc_id": np.asarray(ids, np.int64)})
-
-    # cross-batch duplicate keys are fine: dup_clusters' singleton merge
-    # is a bucketed (node -> min label) aggregate, which dedupes nodes
-    universe = read_transcripts(path, columns=["conv_id"]).map_batches(
-        conv_keys, batch_format="pandas"
-    )
-    return dup_clusters(path, edges=edges, universe=universe,
-                        max_rounds=max_rounds)
+    edges = _conv_neardup_refs(path, max_hamming)
+    key_task = ray.remote(_conv_key_table)
+    universe = [key_task.remote(files) for files in parquet_shards(path)]
+    return clusters_from_refs(edges, universe, max_rounds=max_rounds)
 
 
 def transcript_conv_clusters_sql(path: str, max_hamming: int = 3) -> str:
@@ -382,7 +390,7 @@ ORDER BY doc_id
 
 
 def transcript_conv_neardup_sql(path: str, max_hamming: int = 3) -> str:
-    """DuckDB replay: ordered per-conversation concat feeding the SHARED
+    r"""DuckDB replay: ordered per-conversation concat feeding the SHARED
     SimHash tail (``dedup.simhash_tail_sql`` — md5-LE64 token hashes,
     band pigeonhole, XOR-popcount Hamming; one copy with the docs twin).
 
@@ -496,15 +504,15 @@ def transcript_tool_latency(path: str):
 
     Shape: the conversation exchange restores turn order and emits the
     narrow (gid, gap_us) table (one int pair per non-first turn), materialized
-    like ``docs_quality_rank``'s key table; both quantiles then run as
-    ``exact_grouped_quantile_int`` histogram-narrowing selections —
-    (tool × role) is a BOUNDED group set, every group narrowed in the
-    same pass, no sort. Rank semantics k = ceil(q·n) shared with the
-    kernel, so the DuckDB twin (LAG + windowed rank selection) is
-    bit-exact."""
+    like ``docs_quality_rank``'s key table; both quantiles then run as ONE
+    ``exact_grouped_quantiles_int`` histogram-narrowing selection —
+    (tool × role) is a BOUNDED group set, every group and both ranks
+    narrowed in the same passes, no sort. Rank semantics k = ceil(q·n)
+    shared with the kernel, so the DuckDB twin (LAG + windowed rank
+    selection) is bit-exact."""
     from ..sources.transcripts import read_transcripts
     from ..stages.fold import conv_boundaries, conv_exchange
-    from .relational import exact_grouped_quantile_int
+    from .relational import exact_grouped_quantiles_int
 
     # bounded tool-family set → stable integer gids (sorted for determinism)
     tools = sorted(
@@ -542,12 +550,10 @@ def transcript_tool_latency(path: str):
         path, ["conv_id", "turn_idx", "role", "tool", "ts"], gaps
     ).materialize()
 
-    p50 = exact_grouped_quantile_int(gap_ds, "gid", "gap_us", 500_000)
-    p95 = exact_grouped_quantile_int(gap_ds, "gid", "gap_us", 950_000)
+    sel = exact_grouped_quantiles_int(gap_ds, "gid", "gap_us", (500_000, 950_000))
     rows = []
-    for gid in sorted(p50):
-        n, _k, v50 = p50[gid]
-        _n, _k95, v95 = p95[gid]
+    for gid in sorted(sel):
+        (n, _k, v50), (_n, _k95, v95) = sel[gid]
         rows.append((tools[gid // 4], ["user", "assistant", "tool"][gid % 4], n, v50, v95))
     out = pd.DataFrame(rows, columns=["tool", "role", "n", "p50_us", "p95_us"])
     out[["n", "p50_us", "p95_us"]] = out[["n", "p50_us", "p95_us"]].astype(np.int64)

@@ -3,10 +3,8 @@ from .extract import (  # noqa: F401
     extract_census_households,
     extract_census_persons,
     extract_census_summary,
-    extract_family,
     extract_grid,
     extract_invoice,
     extract_layout,
     extract_table,
-    run_all_families,
 )

@@ -358,28 +358,3 @@ EXTRACTORS = {
     "grid_crops": extract_grid_crops,
 }
 
-
-def extract_family(path: str, name: str):
-    return EXTRACTORS[name](path)
-
-
-def run_all_families(path: str, materialize_households: bool = False) -> dict:
-    """All extraction datasets (lazy); callers consume/write them.
-
-    ``materialize_households=True`` pins the (small, reduced) household
-    dataset so its two consumers (summary, persons) don't each re-execute
-    the census fold — the allowed "small reused intermediate" case.
-    """
-    households = extract_census_households(path)
-    if materialize_households:
-        households = households.materialize()
-    return {
-        "catalog": extract_catalog(path),
-        "invoice": extract_invoice(path),
-        "layout": extract_layout(path),
-        "table": extract_table(path),
-        "grid": extract_grid(path),
-        "census_households": households,
-        "census_summary": extract_census_summary(path, households),
-        "census_persons": extract_census_persons(path, households),
-    }

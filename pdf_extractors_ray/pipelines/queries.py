@@ -710,7 +710,7 @@ def _catalog_query(sf_dir: str):
     hash-checked in-query against its bit-exact DuckDB replay.
     RECORDED result: ``transcript_conv_dedup`` — conversation-level
     exact dedup via the order-sensitive full-text 128-bit digest
-    (restore → digest → grouped-MIN representative → cogroup join),
+    (restore → digest → in-range MIN representative → conv_id order),
     which the driver hash-checks directly against its DuckDB
     ordered-``string_agg`` twin over the same Parquet files
     (``oracle_sql()['extract_catalog']``)."""

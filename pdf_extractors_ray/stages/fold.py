@@ -1,4 +1,4 @@
-"""Ordered per-conversation session folds.
+"""Ordered per-conversation session folds, and the ordered key exchange.
 
 The reference's in-document parsing is a forward-only ordered scan with
 carried state (SURVEY.md §2.9, ST1-ST3). The per-family Ray Data pipelines
@@ -20,9 +20,15 @@ total, with conversations split out by a factorize + ``np.lexsort`` scan
 Each fold returns a ``pyarrow.Table`` built against the family's fixed
 schema so empty groups unify cleanly and list columns stay native Arrow.
 
-``conv_exchange`` is the task-level co-location the conversation ops use
-instead: conv_id RANGES, not md5 buckets, so the per-group outputs come out
-globally ordered and no trailing sort is needed.
+``key_exchange`` is the task-level co-location every conversation and
+dedup op uses instead: sample tasks pick key RANGES (not hash buckets),
+map tasks split each input by range, and one fold task per range runs the
+op's frame, so the outputs come out globally ordered by key and no
+trailing sort is needed. Its inputs are Arrow tables or their object refs
+— typically the previous exchange's fold outputs, so a chain of exchanges
+(conv_id → digest → conv_id; conv_id → LSH band → pair ``a``) never
+leaves Ray tasks. ``conv_exchange`` feeds it a transcript Parquet
+directory keyed by conv_id.
 """
 
 from __future__ import annotations
@@ -129,9 +135,9 @@ def fold_conversations(ds, fold_fn: FoldFn, schema: pa.Schema):
 
 
 # ---------------------------------------------------------------------------
-# conversation exchange: conv_id range partitioning on Ray tasks
+# ordered key exchange: key-range partitioning on Ray tasks
 
-_SAMPLE_PER_SHARD = 1024  # a sample task returns 1-2x this many conv_ids
+_SAMPLE_PER_SHARD = 1024  # a sample task returns 1-2x this many keys
 
 
 def _read_shard(files: list[str], columns: list[str]) -> pa.Table:
@@ -139,20 +145,21 @@ def _read_shard(files: list[str], columns: list[str]) -> pa.Table:
                             promote_options="permissive")
 
 
-def _conv_sample(files: list[str]) -> tuple[list[str], int]:
-    """Sample task: a strided sample of the shard's sorted distinct conv_ids
-    and the number of distinct conv_ids it stands for."""
-    uniq = pc.unique(_read_shard(files, ["conv_id"])["conv_id"].combine_chunks())
+def _key_sample(load, shard, key: str) -> tuple[list, int, int]:
+    """Sample task: a strided sample of the shard's sorted distinct keys, the
+    number of distinct keys it stands for, and the loaded table's bytes."""
+    tbl = load(shard, True)
+    uniq = pc.unique(tbl[key].combine_chunks())
     uniq = uniq.take(pc.array_sort_indices(uniq))
     step = max(1, len(uniq) // _SAMPLE_PER_SHARD)
-    return uniq.take(pa.array(np.arange(0, len(uniq), step))).to_pylist(), len(uniq)
+    return uniq.take(pa.array(np.arange(0, len(uniq), step))).to_pylist(), len(uniq), tbl.nbytes
 
 
-def _range_bounds(samples: list[tuple[list[str], int]], n_groups: int) -> np.ndarray:
+def _range_bounds(samples: list[tuple[list, int]], n_groups: int) -> np.ndarray:
     """At most ``n_groups - 1`` ascending boundaries; group ``g`` holds the
-    conv_ids in ``[bounds[g-1], bounds[g])``. A sampled id weighs the
-    distinct ids it stands for, so groups hold about equal conversation
-    counts; every boundary is a conv_id above the smallest, so none is empty."""
+    keys in ``[bounds[g-1], bounds[g])``. A sampled key weighs the distinct
+    keys it stands for, so groups hold about equal key counts; every
+    boundary is a key above the smallest, so none is empty."""
     vals = np.array([v for s, _n in samples for v in s], dtype=object)
     w = np.concatenate([np.full(len(s), n / len(s)) for s, n in samples])
     order = np.argsort(vals, kind="stable")
@@ -162,15 +169,15 @@ def _range_bounds(samples: list[tuple[list[str], int]], n_groups: int) -> np.nda
     return np.unique(cand[cand > vals[0]])
 
 
-def _conv_map(files: list[str], columns: list[str], pre, bounds: np.ndarray):
-    """Shard map task: read the pruned columns, run ``pre``, and split the
-    rows into one contiguous table per conv_id range. ``searchsorted`` runs
-    once per DISTINCT conv_id of the shard, not per row."""
-    tbl = _read_shard(files, columns)
-    if pre is not None:
-        tbl = pre(tbl)
-    enc = pc.dictionary_encode(tbl["conv_id"]).combine_chunks()
-    uniq = np.asarray(enc.dictionary.to_pylist(), dtype=object)
+def _key_map(load, shard, key: str, bounds: np.ndarray):
+    """Map task: load the shard and split its rows into one contiguous table
+    per key range. ``searchsorted`` runs once per DISTINCT key of the shard,
+    not per row."""
+    tbl = load(shard, False)
+    enc = pc.dictionary_encode(tbl[key].combine_chunks())
+    uniq = enc.dictionary.to_numpy(zero_copy_only=False)
+    if uniq.dtype != object:  # numeric keys: compare as numbers, not objects
+        bounds = np.asarray(bounds.tolist(), dtype=uniq.dtype)
     gid = np.searchsorted(bounds, uniq, side="right")[enc.indices.to_numpy(zero_copy_only=False)]
     order = np.argsort(gid, kind="stable")
     tbl = tbl.take(pa.array(order)).combine_chunks()
@@ -179,52 +186,102 @@ def _conv_map(files: list[str], columns: list[str], pre, bounds: np.ndarray):
     return parts if len(parts) > 1 else parts[0]  # num_returns=1 stores the bare value
 
 
-def _conv_fold(frame_fn, *parts: pa.Table) -> pa.Table:
-    """Fold task: ``frame_fn`` once over one whole conv_id range."""
+def _key_fold(frame_fn, *parts: pa.Table) -> pa.Table:
+    """Fold task: ``frame_fn`` once over one whole key range."""
     group = pa.concat_tables(parts, promote_options="permissive")
     return pa.Table.from_pandas(frame_fn(group.to_pandas()), preserve_index=False)
 
 
-def conv_exchange(path: str, columns: list[str], frame_fn, pre=None):
-    """Co-locate every conversation of a transcript Parquet directory and run
-    ``frame_fn`` (pandas frame -> pandas frame) once per conv_id range →
-    Dataset of the frames, in range order. Ray tasks, no Ray Data barrier:
+def _as_table(shard, _key_only: bool) -> pa.Table:
+    return shard
+
+
+def key_exchange(shards: list, key: str, frame_fn, load=_as_table, nbytes: int | None = None):
+    """Co-locate every row of ``shards`` by ``key`` and run ``frame_fn``
+    (pandas frame -> pandas frame) once per key range → the fold outputs'
+    object refs (Arrow tables), in key-range order. Ray tasks, no Ray Data
+    barrier:
 
     1. one sample task per shard returns a bounded, strided sample of its
-       sorted distinct conv_ids; the caller picks the range boundaries;
-    2. one map task per shard reads ``columns``, applies the optional
-       map-side ``pre`` (Arrow table -> Arrow table, e.g. per-turn digests
-       so no text crosses the exchange) and emits one table per range;
+       sorted distinct keys; the caller picks the range boundaries;
+    2. one map task per shard loads it and emits one table per range;
     3. one fold task per range runs ``frame_fn`` over the whole range.
 
-    So a frame that orders its rows by ``(conv_id, turn_idx)`` yields a
-    globally ordered Dataset. Ranges: one per cluster CPU, more for large
-    inputs (``state.lineage._n_groups``), at most one per conversation. Not
-    the extract engine's four per CPU: each output block costs every later
-    Ray Data pass a task (swept 1, 2, 4 per CPU on 400 convs at 2 CPUs: 1 was
-    fastest, 4 up to 2x slower on tool_latency's multi-pass quantiles)."""
+    A shard is an Arrow table or an object ref to one, or whatever
+    ``load(shard, key_only)`` turns into one (``key_only`` lets a sample
+    read less). So a frame that orders its rows by key yields globally
+    ordered output. Ranges: one per cluster CPU, more for large inputs
+    (``state.lineage._n_groups`` over ``nbytes``, by default the loaded
+    bytes), at most one per distinct key. Not the extract engine's four per
+    CPU: each range costs every later pass a task (swept 1, 2, 4 per CPU on
+    400 convs at 2 CPUs: 1 was fastest, 4 up to 2x slower on tool_latency's
+    multi-pass quantiles)."""
     import ray
-    import ray.data
 
-    from ..runtime import _cluster_cpus, shuffle_num_blocks, tune_data_context
-    from ..state.lineage import _list_parquet, _n_groups
+    from ..runtime import _cluster_cpus
+    from ..state.lineage import _n_groups
 
-    tune_data_context()
+    sampled = ray.get([ray.remote(_key_sample).remote(load, sh, key) for sh in shards])
+    samples = [(s, n) for s, n, _b in sampled if s]
+    if nbytes is None:
+        nbytes = sum(b for _s, _n, b in sampled)
+    n_groups = _n_groups(sum(n for _s, n in samples), nbytes, _cluster_cpus(), per_cpu=1)
+    bounds = _range_bounds(samples, n_groups) if samples else np.array([], dtype=object)
+    n_out = len(bounds) + 1
+    map_task = ray.remote(_key_map).options(num_returns=n_out)
+    map_refs = [map_task.remote(load, sh, key, bounds) for sh in shards]
+    if n_out == 1:
+        map_refs = [[r] for r in map_refs]
+    fold_task = ray.remote(_key_fold)
+    return [fold_task.remote(frame_fn, *[refs[g] for refs in map_refs]) for g in range(n_out)]
+
+
+class _ParquetLoad:
+    """Shard loader for a list of Parquet files: the pruned ``columns`` with
+    the map-side ``pre`` applied, or only the key column for a sample."""
+
+    def __init__(self, columns: list[str], key: str, pre=None):
+        self.columns, self.key, self.pre = columns, key, pre
+
+    def __call__(self, files: list[str], key_only: bool) -> pa.Table:
+        if key_only:
+            return _read_shard(files, [self.key])
+        tbl = _read_shard(files, self.columns)
+        return tbl if self.pre is None else self.pre(tbl)
+
+
+def parquet_shards(path: str) -> list[list[str]]:
+    """The Parquet files of a transcript directory in ``min(files,
+    shuffle_num_blocks())`` interleaved groups, one task each."""
+    from ..runtime import shuffle_num_blocks
+    from ..state.lineage import _list_parquet
+
     files = _list_parquet(path)
     if not files:
         raise FileNotFoundError(f"no Parquet files under {path}")
     n_shards = min(len(files), shuffle_num_blocks())
-    shards = [files[i::n_shards] for i in range(n_shards)]
-    samples = [s for s in ray.get([ray.remote(_conv_sample).remote(sh) for sh in shards]) if s[0]]
-    nbytes = sum(os.path.getsize(f) for f in files)
-    n_groups = _n_groups(sum(n for _s, n in samples), nbytes, _cluster_cpus(), per_cpu=1)
-    bounds = _range_bounds(samples, n_groups) if samples else np.array([], dtype=object)
-    n_out = len(bounds) + 1
-    map_task = ray.remote(_conv_map).options(num_returns=n_out)
-    map_refs = [map_task.remote(sh, columns, pre, bounds) for sh in shards]
-    if n_out == 1:
-        map_refs = [[r] for r in map_refs]
-    fold_task = ray.remote(_conv_fold)
-    return ray.data.from_arrow_refs(
-        [fold_task.remote(frame_fn, *[refs[g] for refs in map_refs]) for g in range(n_out)]
-    )
+    return [files[i::n_shards] for i in range(n_shards)]
+
+
+def conv_exchange_refs(path: str, columns: list[str], frame_fn, pre=None) -> list:
+    """``key_exchange`` over a transcript Parquet directory keyed by
+    conv_id: every conversation co-located, ``frame_fn`` once per conv_id
+    range → the fold outputs' object refs, in range order. One shard per
+    group of files; the optional map-side ``pre`` (Arrow table -> Arrow
+    table, e.g. per-turn digests so no text crosses the exchange) runs on
+    the pruned ``columns``. Ranges are sized by the on-disk bytes."""
+    from ..runtime import tune_data_context
+
+    tune_data_context()
+    shards = parquet_shards(path)
+    nbytes = sum(os.path.getsize(f) for sh in shards for f in sh)
+    return key_exchange(shards, "conv_id", frame_fn, _ParquetLoad(columns, "conv_id", pre), nbytes)
+
+
+def conv_exchange(path: str, columns: list[str], frame_fn, pre=None):
+    """``conv_exchange_refs`` as a Dataset of the frames, in conv_id range
+    order: a frame that orders its rows by ``(conv_id, turn_idx)`` yields a
+    globally ordered Dataset."""
+    import ray.data
+
+    return ray.data.from_arrow_refs(conv_exchange_refs(path, columns, frame_fn, pre))

@@ -1,5 +1,7 @@
 """The conversation exchange (``stages.fold.conv_exchange``): conv_id range
-partitioning on Ray tasks, one fold per range, no groupby or sort barrier.
+partitioning on Ray tasks, one fold per range, no groupby or sort barrier;
+and the ordered key exchanges (``stages.fold.key_exchange``) the dedup ops
+chain after it, by digest, LSH band key, pair ``a`` and doc_id.
 
 Every op that co-locates conversations through it must give the same
 frame (values, dtypes and row order) however many ranges the exchange
@@ -139,8 +141,10 @@ def test_range_bounds():
 
 def test_conv_map_splits_by_range_after_pre(corpora):
     files = sorted(glob.glob(os.path.join(corpora["xfile"], "*.parquet")))[:2]
-    bounds = np.array(fold._range_bounds([fold._conv_sample(files)], 3), dtype=object)
-    parts = fold._conv_map(files, ["conv_id", "turn_idx", "text"], tr.turn_digest_batch, bounds)
+    load = fold._ParquetLoad(["conv_id", "turn_idx", "text"], "conv_id", tr.turn_digest_batch)
+    sample, n, _nbytes = fold._key_sample(load, files, "conv_id")
+    bounds = np.array(fold._range_bounds([(sample, n)], 3), dtype=object)
+    parts = fold._key_map(load, files, "conv_id", bounds)
     assert len(parts) == len(bounds) + 1 == 3
     edges = [None, *bounds, None]
     for g, part in enumerate(parts):
@@ -150,3 +154,116 @@ def test_conv_map_splits_by_range_after_pre(corpora):
         assert all((edges[g] is None or c >= edges[g]) and (edges[g + 1] is None or c < edges[g + 1])
                    for c in ids)
     assert sum(p.num_rows for p in parts) == sum(pq.read_metadata(f).num_rows for f in files)
+
+
+# ---------------------------------------------------------------------------
+# the key exchanges after the conversation exchange (dedup ops)
+
+DEDUP_OPS = ["conv_dedup", "conv_neardup", "conv_clusters"]
+
+
+def _force_first_then(monkeypatch, first, rest):
+    """The first exchange of an op (by conv_id) cuts ``first`` ranges, every
+    later one (digest, band, pair, doc_id) ``rest``."""
+    calls = []
+
+    def n_groups(*_a, **_k):
+        calls.append(None)
+        return first if len(calls) == 1 else rest
+
+    monkeypatch.setattr(lineage, "_n_groups", n_groups)
+    return calls
+
+
+@pytest.mark.parametrize("corpus", ["xfile", "hot", "one"])
+@pytest.mark.parametrize("op", DEDUP_OPS)
+def test_dedup_exchanges_are_independent_of_each_others_ranges(
+        ray_session, corpora, monkeypatch, op, corpus):
+    fn = getattr(tr, f"transcript_{op}")
+    _force_ranges(monkeypatch, 1)
+    want = _frame(fn(corpora[corpus]))
+    for first, rest in ((1, 1000), (1000, 1), (2, 1000), (1000, 2)):
+        calls = _force_first_then(monkeypatch, first, rest)
+        got = _frame(fn(corpora[corpus]))
+        assert len(calls) == {"conv_dedup": 3, "conv_neardup": 3, "conv_clusters": 4}[op]
+        pd.testing.assert_frame_equal(got, want, check_dtype=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_key_exchange_orders_integer_keys_from_table_refs(ray_session, monkeypatch, n):
+    import ray
+
+    rng = np.random.RandomState(5)
+    shards = [
+        pa.table({"k": rng.randint(-50, 50, size=m).astype(np.int64),
+                  "v": rng.randint(0, 9, size=m).astype(np.int64)})
+        for m in (40, 0, 25, 60)
+    ]
+    _force_ranges(monkeypatch, n)
+
+    def sums(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("k", as_index=False, sort=True)["v"].sum()
+
+    refs = fold.key_exchange([ray.put(s) for s in shards], "k", sums)
+    assert len(refs) == (1 if n == 1 else min(n, len(np.unique(pa.concat_tables(shards)["k"]))))
+    got = pa.concat_tables(ray.get(refs)).to_pandas()
+    want = sums(pa.concat_tables(shards).to_pandas())
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_key_exchange_of_empty_tables_folds_once(ray_session):
+    import ray
+
+    empty = pa.table({"k": pa.array([], pa.int64())})
+    refs = fold.key_exchange([ray.put(empty), empty], "k", lambda g: g)
+    assert len(refs) == 1
+    assert ray.get(refs[0]).schema == empty.schema
+
+
+def _hot_bucket_sigs(seed: int = 9) -> pd.DataFrame:
+    """90 signatures: 60 share band0 (one hot LSH bucket), 30 of those are
+    a few bit flips from one base, so their pairs also surface in other
+    bands; 30 more are random."""
+    rng = np.random.RandomState(seed)
+    base = int(rng.randint(0, 1 << 48, dtype=np.int64))
+    hashes = []
+    for i in range(90):
+        if i < 30:
+            upper = base
+            for bit in rng.choice(48, size=rng.randint(0, 3), replace=False):
+                upper ^= 1 << int(bit)
+        else:
+            upper = int(rng.randint(0, 1 << 48, dtype=np.int64))
+        low = 0xBEEF if i < 60 else int(rng.randint(0, 1 << 16))
+        hashes.append((upper << 16) | low)
+    ids = rng.permutation(1000)[:90].astype(np.int64)
+    return pd.DataFrame({
+        "doc_id": ids,
+        "simhash": [f"{h:016x}" for h in hashes],
+        **{f"band{b}": np.array([(h >> (16 * b)) & 0xFFFF for h in hashes], np.int64)
+           for b in range(4)},
+    })
+
+
+@pytest.mark.parametrize("max_bucket", [2, None])
+def test_banded_pairs_star_cap_matches_reference(ray_session, monkeypatch, max_bucket):
+    """The banded tail on the key exchange equals the single-process copy
+    of the old tail, with the star cap firing (``max_bucket`` 2) and at the
+    default cap, however many ranges the two exchanges cut."""
+    import banded_reference
+    import ray.data as rd
+
+    from pdf_extractors_ray.ops import dedup
+
+    cap = dedup._MAX_BUCKET if max_bucket is None else max_bucket
+    sigs = _hot_bucket_sigs()
+    want = banded_reference.banded_pairs(sigs, max_hamming=3, max_bucket=cap)
+    assert len(want) > 30
+    ds = rd.from_pandas([sigs.iloc[:35], sigs.iloc[35:]])
+    for n in (1, 2, 1000):
+        _force_ranges(monkeypatch, n)
+        got = _frame(dedup.banded_hash_pairs(ds, max_hamming=3, max_bucket=cap))
+        pd.testing.assert_frame_equal(got, want, check_dtype=True)
+    if max_bucket == 2:  # the cap fired: fewer pairs than without it
+        full = banded_reference.banded_pairs(sigs, max_hamming=3, max_bucket=dedup._MAX_BUCKET)
+        assert len(want) < len(full)

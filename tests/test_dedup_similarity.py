@@ -766,6 +766,52 @@ def test_grouped_quantile_kernel_vs_sorted_selection(ray_session):
             assert val == int(v[k - 1]), (gk, q_ppm)
 
 
+def test_grouped_quantiles_narrow_every_rank_in_the_same_passes(ray_session):
+    """Several ranks in one selection == one selection per rank == numpy,
+    and the narrowing passes are shared: one min/max pass plus as many
+    histogram passes as the slowest single rank needs, not their sum."""
+    import ray.data as rd
+
+    from pdf_extractors_ray.ops.relational import (
+        exact_grouped_quantile_int,
+        exact_grouped_quantiles_int,
+    )
+
+    rng = np.random.RandomState(13)
+    df = pd.concat([
+        pd.DataFrame({"g": 0, "v": np.repeat([3, 3, 8, 8, 8, 11], 25)}),
+        pd.DataFrame({"g": 1, "v": (rng.pareto(1.1, size=400) * 5000).astype(np.int64)}),
+        pd.DataFrame({"g": 2, "v": [-7]}),
+        pd.DataFrame({"g": 3, "v": rng.randint(-10**12, 10**12, size=150)}),
+    ], ignore_index=True).astype({"g": np.int64, "v": np.int64})
+    ds = rd.from_pandas(df).repartition(5)
+    qs = (500_000, 950_000, 10_000)
+
+    calls = []
+
+    class Counting:  # counts the kernel's passes over the Dataset
+        def __init__(self, inner):
+            self.inner = inner
+
+        def map_batches(self, fn, **kw):
+            calls.append(fn.__name__)
+            return self.inner.map_batches(fn, **kw)
+
+    got = exact_grouped_quantiles_int(Counting(ds), "g", "v", qs, n_bins=64)
+    multi_passes = len(calls)
+    single_passes = []
+    for j, q in enumerate(qs):
+        calls.clear()
+        one = exact_grouped_quantile_int(Counting(ds), "g", "v", q, n_bins=64)
+        single_passes.append(len(calls))
+        assert {g: r[j] for g, r in got.items()} == one
+        for gk, sub in df.groupby("g"):
+            v = np.sort(sub["v"].to_numpy())
+            k = (q * len(v) + 999_999) // 1_000_000
+            assert one[int(gk)] == (len(v), k, int(v[k - 1]))
+    assert multi_passes == max(single_passes) < sum(single_passes)
+
+
 # ---------------------------------------------------------------------------
 # Z-order locality key
 # ---------------------------------------------------------------------------
