@@ -95,43 +95,9 @@ def broadcast(obj):
     return ray.put(obj)
 
 
-# Largest magnitude an int64 survives a round trip through float64 (the
-# dtype CARRIED columns take in the bucket frame below, because the other
-# side's rows fill them with nulls). 2^53 exactly is representable; use it
-# as an inclusive bound.
-_FLOAT64_EXACT_MAX = 1 << 53
-
-
-def _require_float64_exact(name: str, col) -> None:
-    """Loud guard for the cogroup exchange's one silent corruption mode:
-    CARRIED integer columns (``__l_*`` / ``__r_*``) are null-interleaved
-    in the per-bucket pandas frame and therefore promote to float64,
-    which is exact only to ±2^53 — a 60-bit hash key silently splits
-    into real+rounded variants (found as a 1.7x node inflation in the
-    conv-clusters iterative path at sf1). Join KEYS are never null and
-    stay int64, so only carried columns are checked."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    if not pa.types.is_integer(col.type):
-        return
-    mm = pc.min_max(col)
-    lo, hi = mm["min"].as_py(), mm["max"].as_py()
-    if lo is None:
-        return
-    if hi > _FLOAT64_EXACT_MAX or lo < -_FLOAT64_EXACT_MAX:
-        raise ValueError(
-            f"cogroup_join: carried column {name!r} holds integers beyond "
-            f"float64-exact range (|v| > 2^53: min={lo} max={hi}); they "
-            "would silently round in the null-interleaved bucket frame — "
-            "rekey to <= 52 bits or carry the value as a string"
-        )
-
-
 def cogroup_join(left_ds, right_ds, left_on: str, right_on: str,
                  left_cols: list[str], right_cols: list[str],
                  dedup_left: list[str] | None = None,
-                 n_buckets: int | None = None,
                  how: str = "inner"):
     """Sparse-safe inner join via union + hash-BUCKETED cogroup.
 
@@ -141,8 +107,8 @@ def cogroup_join(left_ds, right_ds, left_on: str, right_on: str,
     count — unusable for sparse sides and pathological in multi-join
     queries. This helper expresses the join as: tag each side, align
     schemas (missing columns as Arrow nulls, which concat-promote against
-    any type), hash the key into ``n_buckets`` (≈2×CPUs) buckets, union,
-    ``groupby`` the BUCKET, and one vectorized pandas-merge per bucket.
+    any type), hash the key into ≈2×CPUs buckets, union, ``groupby`` the
+    BUCKET, and one vectorized pandas-merge per bucket.
     Grouping by bucket instead of key matters: ``map_groups`` invokes the
     UDF once per group, and a per-KEY pandas merge costs ~2-4 ms — fatal at
     10^4+ distinct keys (measured: q3's two joins went 60 s → <2 s at 15k
@@ -151,8 +117,12 @@ def cogroup_join(left_ds, right_ds, left_on: str, right_on: str,
     may carry multiple rows per key (one-to-many expands, as an inner join
     should).
 
-    Numeric columns come back as float64 when nulls were interleaved —
-    callers cast their known-int columns back to int64.
+    Each bucket is split by side in Arrow before either side becomes
+    pandas, so a side's columns never hold the other side's null filler
+    and keep their dtypes: inner, semi and anti joins return each column
+    as its side had it. Only a left or full join's unmatched rows add
+    nulls, so an int column there comes back float64 (null as NaN) — the
+    one place a caller still needs ``fillna(...).astype(np.int64)``.
 
     ``dedup_left``: drop duplicate left rows on these columns WITHIN each
     key group before merging (implemented bucket-wide as key+columns
@@ -162,22 +132,22 @@ def cogroup_join(left_ds, right_ds, left_on: str, right_on: str,
     caller would otherwise need.
 
     ``how``: ``"inner"`` (default), ``"left"`` (unmatched left rows kept
-    with null right columns — numeric right columns float64-promote, as
-    with interleaved nulls above), ``"anti"`` (left rows whose key has
-    NO right row; output carries ``left_cols`` only — the distributed
+    with null right columns), ``"anti"`` (left rows whose key has NO
+    right row; output carries ``left_cols`` only — the distributed
     NOT-EXISTS shape), ``"semi"`` (left rows whose key HAS a right row,
     ``left_cols`` only, no expansion — the distributed EXISTS shape) or
-    ``"full"`` (every row from both sides; unmatched columns null with
-    the same float64 promotion) — all five modes share the SAME single
-    hash-bucketed exchange.
+    ``"full"`` (every row from both sides; unmatched columns null) — all
+    five modes share the SAME single hash-bucketed exchange.
     """
     if how not in ("inner", "left", "anti", "semi", "full"):
         raise ValueError(
             f"how={how!r}: expected 'inner', 'left', 'anti', 'semi' or 'full'"
         )
     import pyarrow as pa
+    import pyarrow.compute as pc
+    from ray.data.block import BlockAccessor
 
-    nb = n_buckets or _default_buckets()
+    nb = _default_buckets()
 
     def tag(side: int, key: str):
         # both sides emit the SAME column order (__b, __key, __side,
@@ -189,8 +159,8 @@ def cogroup_join(left_ds, right_ds, left_on: str, right_on: str,
             kcol = batch[key]
             kv = kcol.to_numpy(zero_copy_only=False)
             if kv.dtype.kind == "f":
-                # integer ids that crossed an earlier null-interleaving
-                # merge arrive float64; hash_array keys off raw BITS, so
+                # integer ids from an earlier left/full join's unmatched
+                # side arrive float64; hash_array keys off raw BITS, so
                 # 5.0 and 5 would land in different buckets — canonicalize
                 # both the hash input and the stored key to int64
                 kv = kv.astype(np.int64)
@@ -205,12 +175,8 @@ def cogroup_join(left_ds, right_ds, left_on: str, right_on: str,
                 "__side": pa.array(np.full(n, side, dtype=np.int64)),
             }
             for c in left_cols:
-                if side == 0:
-                    _require_float64_exact(c, batch[c])
                 cols[f"__l_{c}"] = batch[c] if side == 0 else pa.nulls(n)
             for c in right_cols:
-                if side == 1:
-                    _require_float64_exact(c, batch[c])
                 cols[f"__r_{c}"] = batch[c] if side == 1 else pa.nulls(n)
             return pa.table(cols)
 
@@ -223,13 +189,15 @@ def cogroup_join(left_ds, right_ds, left_on: str, right_on: str,
     lsel = [f"__l_{c}" for c in left_cols]
     rsel = [f"__r_{c}" for c in right_cols]
 
-    out_cols = left_cols if how in ("anti", "semi") else left_cols + right_cols
+    def side_frame(group: pa.Table, side: int, sel: list[str]) -> pd.DataFrame:
+        rows = group.filter(pc.equal(group["__side"], side)).select(["__key", *sel])
+        return BlockAccessor.for_block(rows).to_pandas()
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        lf = group[group["__side"] == 0]
-        rf = group[group["__side"] == 1]
-        if (lf.empty and how != "full") or (rf.empty and how in ("inner", "semi")):
-            return pd.DataFrame({c: [] for c in out_cols})
+    def merge(group: pa.Table) -> pd.DataFrame:
+        # a bucket holding one side only runs the same merge, so even its
+        # empty result keeps each side's dtypes (an untyped empty frame
+        # is all float64)
+        lf, rf = side_frame(group, 0, lsel), side_frame(group, 1, rsel)
         if dedup_left:
             lf = lf.drop_duplicates(["__key", *(f"__l_{c}" for c in dedup_left)])
         if how in ("anti", "semi"):
@@ -237,10 +205,8 @@ def cogroup_join(left_ds, right_ds, left_on: str, right_on: str,
             keep = lf[hit] if how == "semi" else lf[~hit]
             return keep[lsel].rename(columns=dict(zip(lsel, left_cols)))
         pd_how = {"inner": "inner", "left": "left", "full": "outer"}[how]
-        out = lf[["__key", *lsel]].merge(
-            rf[["__key", *rsel]], on="__key", how=pd_how
-        )
+        out = lf.merge(rf, on="__key", how=pd_how)
         out = out.drop(columns=["__key"])
         return out.rename(columns=dict(zip(lsel + rsel, left_cols + right_cols)))
 
-    return unioned.groupby("__b").map_groups(merge, batch_format="pandas")
+    return unioned.groupby("__b").map_groups(merge, batch_format="pyarrow")

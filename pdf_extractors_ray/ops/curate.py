@@ -288,8 +288,6 @@ def docs_line_dedup(sf_dir: str):
     nb = _default_buckets()
 
     def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        for c in ("doc_id", "line_idx", "order", "win_order"):
-            batch[c] = batch[c].astype(np.int64)
         batch["__db"] = (
             pd.util.hash_array(batch["doc_id"].to_numpy()) % nb
         ).astype(np.int64)
@@ -1043,8 +1041,8 @@ def docs_dup_span_remove(sf_dir: str, k: int = SPAN_K):
     )
 
     def rewrite(batch: pd.DataFrame) -> pd.DataFrame:
-        doc_ids, n_toks, n_rem, texts = [], [], [], []
-        for doc_id, text, cuts_s in zip(batch["doc_id"], batch["text"], batch["cuts"]):
+        n_toks, n_rem, texts = [], [], []
+        for text, cuts_s in zip(batch["text"], batch["cuts"]):
             toks = text.split(" ")
             n = len(toks)
             if isinstance(cuts_s, str) and cuts_s:
@@ -1061,13 +1059,12 @@ def docs_dup_span_remove(sf_dir: str, k: int = SPAN_K):
                 removed = int(covered.sum())
             else:
                 kept, removed = toks, 0
-            doc_ids.append(int(doc_id))
             n_toks.append(n)
             n_rem.append(removed)
             texts.append(" ".join(kept))
         return pd.DataFrame(
             {
-                "doc_id": np.asarray(doc_ids, np.int64),
+                "doc_id": batch["doc_id"].to_numpy(),
                 "n_tokens": np.asarray(n_toks, np.int64),
                 "n_removed": np.asarray(n_rem, np.int64),
                 "clean_text": pd.Series(texts, dtype=object),
@@ -1856,13 +1853,13 @@ def docs_source_percentile(sf_dir: str):
     )
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        bl = batch["below"].astype(np.int64).to_numpy()
-        ns = batch["n_source"].astype(np.int64).to_numpy()
+        bl = batch["below"].to_numpy()
+        ns = batch["n_source"].to_numpy()
         return pd.DataFrame(
             {
-                "doc_id": batch["doc_id"].astype(np.int64),
+                "doc_id": batch["doc_id"],
                 "source": batch["source"].astype(object),
-                "q": batch["q"].astype(np.int64),
+                "q": batch["q"],
                 "below": bl,
                 "n_source": ns,
                 "pctl_ppm": (bl * 1_000_000) // np.maximum(ns, 1),
@@ -2195,7 +2192,7 @@ def docs_incremental_dedup(sf_dir: str):
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
             {
-                "doc_id": batch["doc_id"].astype(np.int64),
+                "doc_id": batch["doc_id"],
                 "fp": batch["fp"].astype(object),
                 "dup_of": batch["dup_of"].fillna(-1).astype(np.int64),
             }

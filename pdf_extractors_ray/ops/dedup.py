@@ -481,7 +481,7 @@ def minhash_lsh_pairs(sf_dir: str, jaccard_threshold: float = 0.5,
             union = len(sa | sb)
             j = len(sa & sb) / union if union else 0.0
             if j >= jaccard_threshold:
-                out.append((int(a), int(b), int(np.floor(j * 1e6 + 0.5))))
+                out.append((a, b, int(np.floor(j * 1e6 + 0.5))))
         arr = np.array(out, dtype=np.int64).reshape(-1, 3)
         return _pair_table(arr[:, 0], arr[:, 1], jaccard_ppm=arr[:, 2])
 
@@ -504,11 +504,9 @@ def minhash_lsh_pairs(sf_dir: str, jaccard_threshold: float = 0.5,
     cross = cogroup_join(cross, mb, "b", "rep_id", ["jaccard_ppm", "x"], ["y"])
 
     def canonize(batch: pd.DataFrame):
-        x = batch["x"].to_numpy(dtype=np.int64)
-        y = batch["y"].to_numpy(dtype=np.int64)
+        x, y = batch["x"].to_numpy(), batch["y"].to_numpy()
         return _pair_table(
-            np.minimum(x, y), np.maximum(x, y),
-            jaccard_ppm=batch["jaccard_ppm"].to_numpy(dtype=np.int64),
+            np.minimum(x, y), np.maximum(x, y), jaccard_ppm=batch["jaccard_ppm"]
         )
 
     cross_pairs = cross.map_batches(canonize, batch_format="pandas")
@@ -601,7 +599,7 @@ def simhash_docs(sf_dir: str, ds=None):
     cross-batch reuse as an actor pool, no pool startup per query)."""
     if ds is None:
         ds = _docs(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(_simhash_rows, batch_format="pandas").sort("doc_id")
+    return ds.map_batches(_simhash_rows, batch_format="pandas")
 
 
 def _hamming_pairs_chunked(ids: np.ndarray, hashes: np.ndarray, max_hamming: int,
@@ -1187,10 +1185,7 @@ def _distributed_clusters(edges, docs, max_rounds: int):
     converged = False
     for _ in range(max_rounds):
         offers = cogroup_join(bi, labels, "src", "node", ["dst"], ["label"]).map_batches(
-            lambda b: pd.DataFrame(
-                {"node": b["dst"].astype(np.int64), "label": b["label"].astype(np.int64)}
-            ),
-            batch_format="pandas",
+            lambda b: b.rename(columns={"dst": "node"}), batch_format="pandas"
         )
         # pointer jumping: each node also receives its LABEL's label
         # (one labels⋈labels cogroup — every label value is itself an
@@ -1199,12 +1194,7 @@ def _distributed_clusters(edges, docs, max_rounds: int):
         # chain-shaped component converges in O(log diameter) rounds
         # instead of O(diameter) — the max_rounds raise is
         # unreachable below ~2^32-deep chains.
-        jumps = cogroup_join(labels, labels, "label", "node", ["node"], ["label"]).map_batches(
-            lambda b: pd.DataFrame(
-                {"node": b["node"].astype(np.int64), "label": b["label"].astype(np.int64)}
-            ),
-            batch_format="pandas",
-        )
+        jumps = cogroup_join(labels, labels, "label", "node", ["node"], ["label"])
         labels = (
             bucketed_group_agg(
                 labels.union(offers).union(jumps), ["node"], {"label": "min"}
@@ -1249,17 +1239,9 @@ def _distributed_clusters(edges, docs, max_rounds: int):
         lambda b: b.rename(columns={"label": "s_label", "n": "cluster_size"}), batch_format="pandas"
     )
     out = cogroup_join(full, sizes, "label", "s_label", ["node", "label"], ["cluster_size"])
-
-    def project(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["node"].astype(np.int64),
-                "cluster": batch["label"].astype(np.int64),
-                "cluster_size": batch["cluster_size"].astype(np.int64),
-            }
-        )
-
-    return out.map_batches(project, batch_format="pandas").sort("doc_id")
+    return out.map_batches(
+        lambda b: b.rename(columns={"node": "doc_id", "label": "cluster"}), batch_format="pandas"
+    ).sort("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -1469,13 +1451,13 @@ def docs_setsim_join(sf_dir: str):
     )
 
     def doc_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        b = pd.util.hash_array(batch["doc_id"].to_numpy(np.int64)) % nb
+        b = pd.util.hash_array(batch["doc_id"].to_numpy()) % nb
         return batch.assign(__db=b.astype(np.int64))
 
     def prefix_rows(group: pd.DataFrame) -> pd.DataFrame:
-        doc = group["doc_id"].to_numpy(np.int64)
-        tok = group["tok"].to_numpy(np.int64)
-        df = group["n"].to_numpy(np.int64)
+        doc = group["doc_id"].to_numpy()
+        tok = group["tok"].to_numpy()
+        df = group["n"].to_numpy()
         order = np.lexsort((tok, df, doc))  # by doc, then rarest-first
         doc_s, tok_s = doc[order], tok[order]
         # rank within doc: position minus the doc run's start offset
@@ -1911,7 +1893,7 @@ def docs_neardup_recall(sf_dir: str, pairs=None, jaccard_threshold: float = 0.5)
     )
 
     def rollup(batch: pd.DataFrame) -> pd.DataFrame:
-        dec = batch["true_ppm"].to_numpy(np.int64) // 100_000
+        dec = batch["true_ppm"].to_numpy() // 100_000
         fnd = batch["found"].fillna(0).to_numpy(np.int64)
         df = pd.DataFrame({"ppm_decile": dec, "n_true": np.int64(1), "n_found": fnd})
         return df.groupby("ppm_decile", as_index=False).sum()
@@ -2026,11 +2008,8 @@ def docs_dedup_pipeline(sf_dir: str, labels=None):
     )
 
     def accounting(batch: pd.DataFrame) -> pd.DataFrame:
-        kept = (
-            batch["cluster"].astype(np.int64).to_numpy()
-            == batch["doc_id"].astype(np.int64).to_numpy()
-        ).astype(np.int64)
-        nt = batch["n_toks"].astype(np.int64).to_numpy()
+        kept = (batch["cluster"].to_numpy() == batch["doc_id"].to_numpy()).astype(np.int64)
+        nt = batch["n_toks"].to_numpy()
         return pd.DataFrame(
             {
                 "source": batch["source"].astype(object),
@@ -2114,12 +2093,9 @@ def docs_dedup_keep_longest(sf_dir: str, labels=None):
     nb = 64
 
     def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["cluster"] = batch["cluster"].astype(np.int64)
-        batch["__b"] = (
-            pd.util.hash_array(batch["cluster"].to_numpy()) % nb
-        ).astype(np.int64)
-        return batch
+        return batch.assign(
+            __b=(pd.util.hash_array(batch["cluster"].to_numpy()) % nb).astype(np.int64)
+        )
 
     def solve(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
@@ -2128,7 +2104,7 @@ def docs_dedup_keep_longest(sf_dir: str, labels=None):
         )
         win = g.groupby("cluster", sort=False).head(1)
         kept = g["doc_id"].isin(win["doc_id"]).astype(np.int64).to_numpy()
-        nt = g["n_toks"].astype(np.int64).to_numpy()
+        nt = g["n_toks"].to_numpy()
         part = pd.DataFrame(
             {
                 "source": g["source"].astype(object),

@@ -1747,9 +1747,7 @@ def events_join_cardinality(sf_dir: str):
     )
 
     def prod_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        a = batch["n"].to_numpy(np.int64)
-        b = batch["n_b"].to_numpy(np.int64)
-        return pd.DataFrame({"p": [int((a * b).sum())]})
+        return pd.DataFrame({"p": [int((batch["n"] * batch["n_b"]).sum())]})
 
     rn = orc.map_batches(
         lambda b: b.rename(columns={"n": "n_b"}), batch_format="pandas"

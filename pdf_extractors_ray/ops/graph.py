@@ -219,14 +219,7 @@ def docs_graph_triangles(sf_dir: str):
 
     edges0 = nodes.map_batches(emit_edges, batch_format="pandas")
     # semi-join: keep edges whose target exists (non-dense id sets)
-    edges = cogroup_join(
-        edges0, nodes, "dst", "doc_id", ["src", "dst"], ["doc_id"]
-    ).map_batches(
-        lambda b: pd.DataFrame(
-            {"src": b["src"].astype(np.int64), "dst": b["dst"].astype(np.int64)}
-        ),
-        batch_format="pandas",
-    )
+    edges = cogroup_join(edges0, nodes, "dst", "doc_id", ["src", "dst"], [], how="semi")
 
     # paths u→v→w: join on the middle node (right side renamed — the
     # cogroup helper emits both sides under their own column names, so a
@@ -235,34 +228,21 @@ def docs_graph_triangles(sf_dir: str):
         lambda b: pd.DataFrame({"mid": b["src"], "w": b["dst"]}), batch_format="pandas"
     )
     paths = cogroup_join(
-        edges, edges_mid, "dst", "mid", ["src", "dst"], ["mid", "w"]
+        edges, edges_mid, "dst", "mid", ["src", "dst"], ["w"]
     ).map_batches(
-        lambda b: pd.DataFrame(
-            {
-                "u": b["src"].astype(np.int64),
-                "v": b["dst"].astype(np.int64),
-                "w": b["w"].astype(np.int64),
-            }
-        ),
-        batch_format="pandas",
+        lambda b: b.rename(columns={"src": "u", "dst": "v"}), batch_format="pandas"
     )
 
     # closure: out-edges of w that land back on u
     closed = cogroup_join(
         paths, edges, "w", "src", ["u", "v", "w"], ["src", "dst"]
     ).map_batches(
-        lambda b: b[b["dst"].astype(np.int64) == b["u"].astype(np.int64)][["u", "v", "w"]],
+        lambda b: b[b["dst"] == b["u"]][["u", "v", "w"]],
         batch_format="pandas",
     )
 
     def corners(batch: pd.DataFrame) -> pd.DataFrame:
-        ids = np.concatenate(
-            [
-                batch["u"].to_numpy(np.int64),
-                batch["v"].to_numpy(np.int64),
-                batch["w"].to_numpy(np.int64),
-            ]
-        )
+        ids = np.concatenate([batch["u"], batch["v"], batch["w"]])
         return pd.DataFrame({"doc_id": ids, "n_cycles3": np.ones(len(ids), np.int64)})
 
     zeros = nodes.map_batches(

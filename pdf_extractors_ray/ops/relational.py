@@ -99,23 +99,14 @@ def q3_segment_topk(sf_dir: str, segment: str = "BUILDING", k: int = 10):
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def li_rev(batch: pd.DataFrame) -> pd.DataFrame:
+        # keyed under the output's name, so the join feeds the rollup as is
         rev = cents(batch["l_extendedprice"].to_numpy() * (1.0 - batch["l_discount"].to_numpy()))
-        return pd.DataFrame({"l_orderkey": batch["l_orderkey"], "revenue_cents": rev})
+        return pd.DataFrame({"o_orderkey": batch["l_orderkey"], "revenue_cents": rev})
 
     rev = li.map_batches(li_rev, batch_format="pandas")
-    joined = cogroup_join(rev, o_keys, "l_orderkey", "o_orderkey",
-                          ["l_orderkey", "revenue_cents"], [])
-
-    def project(batch: pd.DataFrame) -> pd.DataFrame:
-        # cogroup merge interleaves null filler -> cast known-ints back
-        return pd.DataFrame(
-            {
-                "o_orderkey": batch["l_orderkey"].to_numpy(np.int64),
-                "revenue_cents": batch["revenue_cents"].to_numpy(np.int64),
-            }
-        )
-
-    agg = grouped_sums(joined.map_batches(project, batch_format="pandas"), ["o_orderkey"], ["revenue_cents"])
+    joined = cogroup_join(rev, o_keys, "o_orderkey", "o_orderkey",
+                          ["o_orderkey", "revenue_cents"], [])
+    agg = grouped_sums(joined, ["o_orderkey"], ["revenue_cents"])
 
     # per-block partial top-k before the global sort: the global top-k is
     # a subset of the union of per-block top-ks (keys are unique after
@@ -190,17 +181,7 @@ def q5_nation_revenue(sf_dir: str, region: str = "ASIA"):
     li = li.map_batches(li_rev, batch_format="pandas")
     joined = cogroup_join(li, tagged, "l_orderkey", "o_orderkey",
                           ["revenue_cents"], ["n_name"])
-
-    def recast(batch: pd.DataFrame) -> pd.DataFrame:
-        # cogroup merge interleaves null filler -> cast known-ints back
-        return pd.DataFrame(
-            {
-                "n_name": batch["n_name"],
-                "revenue_cents": batch["revenue_cents"].to_numpy(np.int64),
-            }
-        )
-
-    out = grouped_sums(joined.map_batches(recast, batch_format="pandas"), ["n_name"], ["revenue_cents"])
+    out = grouped_sums(joined, ["n_name"], ["revenue_cents"])
     return out.sort("n_name")
 
 
@@ -646,17 +627,17 @@ def q22_antijoin_nation(sf_dir: str, priority: str = "1-URGENT"):
         how="anti",
     )
 
-    def to_int(batch: pd.DataFrame) -> pd.DataFrame:
+    def tally(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "c_nationkey": batch["c_nationkey"].to_numpy(np.int64),
+                "c_nationkey": batch["c_nationkey"],
                 "numcust": np.ones(len(batch), dtype=np.int64),
-                "totacctbal_cents": batch["bal_cents"].to_numpy(np.int64),
+                "totacctbal_cents": batch["bal_cents"],
             }
         )
 
     return grouped_sums(
-        no_orders.map_batches(to_int, batch_format="pandas"),
+        no_orders.map_batches(tally, batch_format="pandas"),
         ["c_nationkey"],
         ["numcust", "totacctbal_cents"],
     ).sort("c_nationkey")
@@ -913,24 +894,15 @@ def part_type_revenue(sf_dir: str):
     def li_rev(batch: pd.DataFrame) -> pd.DataFrame:
         rev = cents(batch["l_extendedprice"].to_numpy() * (1.0 - batch["l_discount"].to_numpy()))
         return pd.DataFrame(
-            {"l_partkey": batch["l_partkey"], "cents": rev, "n_items": np.int64(1)}
+            {"l_partkey": batch["l_partkey"], "revenue_cents": rev, "n_items": np.int64(1)}
         )
 
     per_part = grouped_sums(
-        li.map_batches(li_rev, batch_format="pandas"), ["l_partkey"], ["cents", "n_items"]
+        li.map_batches(li_rev, batch_format="pandas"), ["l_partkey"], ["revenue_cents", "n_items"]
     )
     part = _read(sf_dir, "part", columns=["p_partkey", "p_type"])
     joined = cogroup_join(
-        per_part, part, "l_partkey", "p_partkey", ["cents", "n_items"], ["p_type"]
-    ).map_batches(
-        lambda b: pd.DataFrame(
-            {
-                "p_type": b["p_type"],
-                "revenue_cents": b["cents"].to_numpy(np.int64),
-                "n_items": b["n_items"].to_numpy(np.int64),
-            }
-        ),
-        batch_format="pandas",
+        per_part, part, "l_partkey", "p_partkey", ["revenue_cents", "n_items"], ["p_type"]
     )
     agg = (
         grouped_sums(joined, ["p_type"], ["revenue_cents", "n_items"])
@@ -1289,7 +1261,7 @@ def q7_nation_volume(sf_dir: str):
     then a tiny (nation × nation × year) bucketed rollup. The 25-row
     ``nation`` table is the only broadcast (``ray.put`` once, a dict
     lookup in every tag task — fixed-size at any corpus scale)."""
-    from .common import bucketed_group_agg, cogroup_join
+    from .common import cogroup_join
 
     nation = _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
     nmap_ref = broadcast(dict(zip(nation["n_nationkey"], nation["n_name"])))
@@ -1342,7 +1314,7 @@ def q7_nation_volume(sf_dir: str):
                 "l_suppkey": batch["l_suppkey"].to_numpy(np.int64),
                 "l_year": batch["l_shipdate"].to_numpy().astype("datetime64[Y]")
                 .astype(np.int64) + 1970,
-                "cents": cents(
+                "revenue_cents": cents(
                     batch["l_extendedprice"].to_numpy()
                     * (1.0 - batch["l_discount"].to_numpy())
                 ),
@@ -1354,7 +1326,7 @@ def q7_nation_volume(sf_dir: str):
         supp.map_batches(tag_supp, batch_format="pandas"),
         "l_suppkey",
         "s_suppkey",
-        ["l_orderkey", "l_year", "cents"],
+        ["l_orderkey", "l_year", "revenue_cents"],
         ["supp_nation"],
     )
 
@@ -1363,25 +1335,12 @@ def q7_nation_volume(sf_dir: str):
         ord_tagged,
         "l_orderkey",
         "o_orderkey",
-        ["supp_nation", "l_year", "cents"],
+        ["supp_nation", "l_year", "revenue_cents"],
         ["cust_nation"],
     )
-
-    def to_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "supp_nation": batch["supp_nation"],
-                "cust_nation": batch["cust_nation"],
-                "l_year": batch["l_year"].to_numpy().astype(np.int64),
-                "revenue_cents": batch["cents"].to_numpy().astype(np.int64),
-                "n_items": np.int64(1),
-            }
-        )
-
-    agg = bucketed_group_agg(
-        both.map_batches(to_partial, batch_format="pandas"),
-        ["supp_nation", "cust_nation", "l_year"],
-        {"revenue_cents": "sum", "n_items": "sum"},
+    agg = grouped_sums(
+        both, ["supp_nation", "cust_nation", "l_year"], ["revenue_cents"],
+        count_alias="n_items",
     )
 
     def fin(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1510,7 +1469,7 @@ def referential_integrity(sf_dir: str):
         def orphan_partial(batch: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame(
                 {"keys": [np.int64(len(batch))],
-                 "rows": [np.int64(batch["n"].to_numpy(np.int64).sum())]}
+                 "rows": [np.int64(batch["n"].sum())]}
             )
 
         op = orphans.map_batches(orphan_partial, batch_format="pandas").to_pandas()
@@ -1777,18 +1736,15 @@ def lineitem_basket_pairs(sf_dir: str, k: int = BASKET_TOPK):
     nb = 64
 
     def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["l_orderkey"] = batch["l_orderkey"].astype(np.int64)
-        batch["__b"] = (
-            pd.util.hash_array(batch["l_orderkey"].to_numpy()) % nb
-        ).astype(np.int64)
-        return batch
+        return batch.assign(
+            __b=(pd.util.hash_array(batch["l_orderkey"].to_numpy()) % nb).astype(np.int64)
+        )
 
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["l_orderkey", "p_type"]).sort_values(
             ["l_orderkey", "p_type"], kind="mergesort"
         )
-        okey = g["l_orderkey"].to_numpy(np.int64)
+        okey = g["l_orderkey"].to_numpy()
         types = g["p_type"].to_numpy(object)
         bounds = np.concatenate(
             [[0], np.flatnonzero(okey[1:] != okey[:-1]) + 1, [len(okey)]]

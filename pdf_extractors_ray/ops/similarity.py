@@ -1667,18 +1667,8 @@ def emb_cluster_purity(sf_dir: str, assign=None, k: int = KMEANS_K):
     joined = cogroup_join(
         assign, labels, "vec_id", "vec_id", ["cluster"], ["label"]
     )
-
-    def count_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "cluster": batch["cluster"].astype(np.int64),
-                "label": batch["label"].astype(np.int64),
-                "c": np.ones(len(batch), dtype=np.int64),
-            }
-        )
-
     counts = grouped_sums(
-        joined.map_batches(count_rows, batch_format="pandas"), ["cluster", "label"], ["c"]
+        joined, ["cluster", "label"], [], count_alias="c"
     ).to_pandas()  # k x |labels| rollup: driver-bounded by construction
 
     rows = []

@@ -540,9 +540,9 @@ def docs_bigram_pmi(sf_dir: str, min_count: int = PMI_MIN_COUNT, k: int = PMI_TO
                     "pmi_ppm": pd.Series([], dtype=np.int64),
                 }
             )
-        ab = batch["n_ab"].astype(np.int64).tolist()
-        na = batch["n_a"].astype(np.int64).tolist()
-        nb_ = batch["n_b"].astype(np.int64).tolist()
+        ab = batch["n_ab"].tolist()
+        na = batch["n_a"].tolist()
+        nb_ = batch["n_b"].tolist()
         pmi = [(a * n_total * 1_000_000) // (x * y) for a, x, y in zip(ab, na, nb_)]
         out = pd.DataFrame(
             {
@@ -808,8 +808,6 @@ def docs_tfidf(sf_dir: str, k: int = TFIDF_K, heavy_k: int = TFIDF_HEAVY_K):
 
     def add_doc_bucket(batch: pd.DataFrame) -> pd.DataFrame:
         out = batch.copy()
-        for c in ("doc_id", "tf", "df"):
-            out[c] = out[c].astype(np.int64)
         out["__b"] = (pd.util.hash_array(out["doc_id"].to_numpy()) % nb).astype(np.int64)
         out["score_ppm"] = out["tf"].to_numpy() * 1_000_000 // out["df"].to_numpy()
         return out
@@ -1421,12 +1419,7 @@ def docs_lm_coverage(sf_dir: str, min_count: int = LM_MIN_COUNT):
         ["_known"],
     )
     known_per_doc = bucketed_group_agg(
-        known.map_batches(
-            lambda b: pd.DataFrame(
-                {"doc_id": b["doc_id"].astype(np.int64), "n_known": b["cnt"].astype(np.int64)}
-            ),
-            batch_format="pandas",
-        ),
+        known.map_batches(lambda b: b.rename(columns={"cnt": "n_known"}), batch_format="pandas"),
         ["doc_id"],
         {"n_known": "sum"},
     )
@@ -1440,12 +1433,12 @@ def docs_lm_coverage(sf_dir: str, min_count: int = LM_MIN_COUNT):
     )
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        nb = batch["n_bigrams"].astype(np.int64).to_numpy()
+        nb = batch["n_bigrams"].to_numpy()
         nk = batch["n_known"].fillna(0).astype(np.int64).to_numpy()
         cov = np.where(nb == 0, np.int64(1_000_000), (nk * 1_000_000) // np.maximum(nb, 1))
         return pd.DataFrame(
             {
-                "doc_id": batch["doc_id"].astype(np.int64),
+                "doc_id": batch["doc_id"],
                 "n_bigrams": nb,
                 "n_known": nk,
                 "coverage_ppm": cov.astype(np.int64),

@@ -141,11 +141,10 @@ def conv_digest_frame(group: pd.DataFrame) -> pd.DataFrame:
     """Per-conversation content digest for one co-located partition:
     the 128-bit md5 hex over the CONCATENATED per-turn md5 hexes in
     turn order (fixed-width components, so no separator is needed and
-    the encoding is injective). A string digest on purpose: it rides
-    exactly through joins (int64 digests truncated by the cogroup
-    join's null-interleaved float64 promotion), and 60-bit keys
-    birthday-collide at the 10^12-conversation scale this op targets
-    while 128 bits do not. Two conversations collide only if their
+    the encoding is injective). A string digest on purpose: the
+    birthday budget. Even a full 64-bit int key expects ~n²/2^65 ≈ 3·10^4
+    colliding pairs at the 10^12-conversation scale this op targets,
+    while 128 bits expect none. Two conversations collide only if their
     full turn sequences are byte-identical (up to md5 collisions).
     DuckDB mirror: ``md5(string_agg(md5(text), '' ORDER BY
     turn_idx))``."""
@@ -239,12 +238,10 @@ ORDER BY d.conv_id
 
 
 def _conv_key(conv_id) -> int:
-    """52-bit md5 prefix of the conv_id string: works for ANY id scheme
-    (twin: ``('0x' || substr(md5(conv_id), 1, 13))::BIGINT``). 52 bits, not
-    60, on purpose: the distributed cluster loop rides the sparse-safe
-    cogroup exchange, whose null-interleaved merges promote int64 through
-    float64 (exact only to 2^53); a 60-bit key silently splits into
-    real+rounded node pairs (found as a 1.7x node inflation at sf1).
+    """52-bit md5 prefix of the conv_id string: works for ANY id scheme.
+    The width is pinned by the DuckDB twin, which computes the same key
+    as ``('0x' || substr(md5(conv_id), 1, 13))::BIGINT`` (13 hex digits);
+    a wider key changes every key value and so the twins' outputs.
     Birthday budget: ~1.6e-4 collision odds at 1.2M convs; at the 10^12
     design point conversation identity uses the 128-bit STRING digest path
     (``transcript_conv_dedup``) — documented, not silent."""

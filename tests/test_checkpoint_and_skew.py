@@ -160,26 +160,45 @@ def test_salted_catalog_small_windows(ray_session, small_corpus_dir):
     pd.testing.assert_frame_equal(canonical(plain), canonical(salted), check_dtype=False)
 
 
-def test_cogroup_join_rejects_float64_inexact_carried_ints(ray_session):
-    """The cogroup exchange's carried columns null-interleave into
-    float64 (exact only to 2^53); values past that must raise loudly
-    instead of silently rounding (the conv-clusters node-inflation bug
-    class). Keys themselves are never null and stay int64-exact."""
+def test_cogroup_join_carries_large_ints_exactly(ray_session):
+    """Carried int64 values past float64's exact range (2^60+1) come back
+    exact from every join mode, on either side: each bucket is split by
+    side before it becomes pandas, so no column holds the other side's
+    null filler. Inner, semi and anti joins keep carried ints int64, and
+    so do a left join's left-side columns. A left or full join's columns
+    stay int64 where every row matched (the all-match case below)."""
     import numpy as np
-    import pandas as pd
-    import pytest
     import ray.data as rd
 
     from pdf_extractors_ray.ops.common import cogroup_join
 
     big = (1 << 60) + 1
-    left = rd.from_pandas(pd.DataFrame({"k": np.array([1, 2], np.int64),
-                                        "v": np.array([big, 5], np.int64)}))
-    right = rd.from_pandas(pd.DataFrame({"k": np.array([1, 2], np.int64),
-                                         "w": np.array([7, 8], np.int64)}))
-    with pytest.raises(Exception, match="float64-exact"):
-        cogroup_join(left, right, "k", "k", ["v"], ["w"]).materialize()
-    # big values as KEYS are fine (keys never null-interleave)
+
+    def join(lk, rk, how):
+        lk, rk = np.array(lk, np.int64), np.array(rk, np.int64)
+        left = rd.from_pandas(pd.DataFrame({"k": lk, "v": big + lk}))
+        right = rd.from_pandas(pd.DataFrame({"k": rk, "w": big + 10 * rk}))
+        rcols = [] if how in ("semi", "anti") else ["w"]
+        out = cogroup_join(left, right, "k", "k", ["k", "v"], rcols, how=how).to_pandas()
+        return out.sort_values("k").reset_index(drop=True)
+
+    # key 1 only on the left, key 2 only on the right, key 3 on both
+    inner = join([1, 3], [2, 3], "inner")
+    assert inner.dtypes.to_dict() == {"k": np.int64, "v": np.int64, "w": np.int64}
+    assert inner.values.tolist() == [[3, big + 3, big + 30]]
+    for how, keys in (("semi", [3]), ("anti", [1])):
+        got = join([1, 3], [2, 3], how)
+        assert got.dtypes.to_dict() == {"k": np.int64, "v": np.int64}, how
+        assert got.values.tolist() == [[k, big + k] for k in keys], how
+    left = join([1, 3], [2, 3], "left")
+    assert left["k"].dtype == np.int64 and left["v"].dtype == np.int64
+    assert left[["k", "v"]].values.tolist() == [[1, big + 1], [3, big + 3]]
+    # every key on both sides: no row lacks a match, every column is exact
+    for how in ("left", "full"):
+        got = join([1, 2], [1, 2], how)
+        assert got.dtypes.to_dict() == {"k": np.int64, "v": np.int64, "w": np.int64}, how
+        assert got.values.tolist() == [[k, big + k, big + 10 * k] for k in (1, 2)], how
+    # big values as KEYS are exact too
     lk = rd.from_pandas(pd.DataFrame({"k": np.array([big, big + 2], np.int64),
                                       "v": np.array([1, 2], np.int64)}))
     rk = rd.from_pandas(pd.DataFrame({"k": np.array([big, big + 2], np.int64),

@@ -75,10 +75,11 @@ def test_cogroup_join_matches_pandas_merge(ray_session, left_rows, right_rows):
         # schema; the semantic claim (no rows) still holds
         assert len(got) == 0
         return
+    # an inner join keeps each side's dtypes: no float64 promotion to undo
     key = ["k", "v", "t"]
-    got = got.astype({"k": np.int64, "v": np.int64}).sort_values(key).reset_index(drop=True)
+    got = got.sort_values(key).reset_index(drop=True)
     want = want.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got[key], want, check_dtype=False)
+    pd.testing.assert_frame_equal(got[key], want)
 
 
 def test_cogroup_join_float_promoted_keys_bucket_identically(ray_session):
@@ -196,19 +197,17 @@ def test_cogroup_join_left_and_anti_match_pandas(ray_session, left_rows, right_r
         assert len(got_anti) == 0
     else:
         pd.testing.assert_frame_equal(
-            got_anti.astype({"k": np.int64, "v": np.int64}).sort_values(key).reset_index(drop=True),
+            got_anti.sort_values(key).reset_index(drop=True),
             want_anti.sort_values(key).reset_index(drop=True),
-            check_dtype=False,
         )
 
     got_left = cogroup_join(lds, rds, "k", "rk", ["k", "v"], ["t"], how="left").to_pandas()
     want_left = left.merge(right, left_on="k", right_on="rk", how="left")[["k", "v", "t"]]
     key = ["k", "v", "t"]
+    # a left join's left-side columns keep their int64 dtype
     pd.testing.assert_frame_equal(
-        got_left.fillna({"t": "\0"}).astype({"k": np.int64, "v": np.int64})
-        .sort_values(key).reset_index(drop=True)[key],
+        got_left.fillna({"t": "\0"}).sort_values(key).reset_index(drop=True)[key],
         want_left.fillna({"t": "\0"}).sort_values(key).reset_index(drop=True),
-        check_dtype=False,
     )
 
 
@@ -231,6 +230,7 @@ def test_cogroup_join_semi_full_properties(ray_session):
         lds, rds = rd.from_pandas(lf), rd.from_pandas(rf)
 
         semi = cogroup_join(lds, rds, "k", "k", ["k", "a"], [], how="semi").to_pandas()
+        assert semi.dtypes.to_dict() == lf.dtypes.to_dict()
         want_semi = lf[lf["k"].isin(rf["k"])]
         assert len(semi) == len(want_semi)
         assert sorted(zip(semi["k"], semi["a"])) == sorted(
@@ -238,6 +238,7 @@ def test_cogroup_join_semi_full_properties(ray_session):
         )
 
         anti = cogroup_join(lds, rds, "k", "k", ["k", "a"], [], how="anti").to_pandas()
+        assert anti.dtypes.to_dict() == lf.dtypes.to_dict()
         assert len(anti) + len(semi) == len(lf)
 
         full = cogroup_join(

@@ -539,11 +539,13 @@ def test_conv_clusters_matches_duckdb_twin(ray_session):
 def test_conv_clusters_iterative_path_float_safety(ray_session, monkeypatch):
     """Force the big-edge ITERATIVE component path (the small-edge
     driver batch is the default at test scale) and require twin
-    equality. Regression: 60-bit conv keys silently split into
-    real+rounded node pairs inside the sparse-safe cogroup exchange
-    (int64 -> float64 promotion is exact only to 2^53) — found as a
-    1.7x node inflation at sf1; conv keys are 52-bit for exactly this
-    reason."""
+    equality. That loop is the longest chain of cogroup joins, each
+    carrying conv keys as int64. Regression: when the join promoted
+    carried ints through float64 (exact only to 2^53), 60-bit conv keys
+    split into real+rounded node pairs — found as a 1.7x node inflation
+    at sf1. The join now keeps int64, and the keys stay 52-bit because
+    the DuckDB twin's ``substr(md5, 1, 13)`` pins that width; the checks
+    below keep asserting the 2^53 bound and one row per key."""
     import duckdb
 
     from pdf_extractors_ray.ops import dedup
