@@ -218,8 +218,11 @@ def docs_graph_triangles(sf_dir: str):
         return out[out["src"] != out["dst"]]
 
     edges0 = nodes.map_batches(emit_edges, batch_format="pandas")
-    # semi-join: keep edges whose target exists (non-dense id sets)
-    edges = cogroup_join(edges0, nodes, "dst", "doc_id", ["src", "dst"], [], how="semi")
+    # semi-join: keep edges whose target exists (non-dense id sets);
+    # materialized once, or each of its three consumers re-runs it
+    edges = cogroup_join(
+        edges0, nodes, "dst", "doc_id", ["src", "dst"], [], how="semi"
+    ).materialize()
 
     # paths u→v→w: join on the middle node (right side renamed — the
     # cogroup helper emits both sides under their own column names, so a

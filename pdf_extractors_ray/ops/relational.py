@@ -117,7 +117,12 @@ def q3_segment_topk(sf_dir: str, segment: str = "BUILDING", k: int = 10):
                                  ascending=[False, False], kind="mergesort").head(k)
 
     pruned = agg.map_batches(block_topk, batch_format="pandas")
-    return pruned.sort(["revenue_cents", "o_orderkey"], descending=[True, True]).limit(k)
+    # the sort's merge keeps the blocks' row labels: drop them
+    return (
+        pruned.sort(["revenue_cents", "o_orderkey"], descending=[True, True])
+        .limit(k)
+        .map_batches(lambda b: b.reset_index(drop=True), batch_format="pandas")
+    )
 
 
 Q3_SQL = """
@@ -1782,7 +1787,7 @@ def lineitem_basket_pairs(sf_dir: str, k: int = BASKET_TOPK):
         return batch.sort_values(
             ["n_orders", "type_a", "type_b"], ascending=[False, True, True],
             kind="mergesort",
-        ).head(k)
+        ).head(k).reset_index(drop=True)
 
     top = (
         counted.map_batches(block_topk, batch_format="pandas")

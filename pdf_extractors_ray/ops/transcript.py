@@ -17,10 +17,13 @@ turns together: ONE conversation exchange (``stages.fold.conv_exchange``)
 the op's frame once per range, with vectorized boundary-slice aggregation
 inside it. The ranges come out in conv_id order, so conversation-keyed
 outputs need no sort, and bounded rollups (role transitions, per-tool
-moments) sum their per-range partials in the calling process. The dedup
-ops chain further ordered key exchanges (``stages.fold.key_exchange``) on
-the fold outputs' object refs — by digest, LSH band, pair or doc_id — so
-none of them passes through a Ray Data groupby, sort or repartition.
+moments) sum their per-range partials in the calling process, fetched by
+their object refs. The dedup ops and ``tool_latency`` chain further
+ordered key exchanges (``stages.fold.key_exchange``) on the fold outputs'
+object refs — by digest, LSH band, pair, doc_id or tool family — and
+``extract_rate`` runs one map task per file group. So no op here runs a
+Ray Data groupby, sort, repartition or read; a Dataset is only built
+over the finished result.
 """
 
 from __future__ import annotations
@@ -490,74 +493,84 @@ GROUP BY conv_id ORDER BY conv_id
 # turn-gap latency telemetry (per tool family × role, exact quantiles)
 
 
-_ROLE_IDS = {"user": 0, "assistant": 1, "tool": 2}
+_ROLES = ("user", "assistant", "tool")  # role id = position: the output's role order
+_QUANTILE_PPMS = (500_000, 950_000)  # p50, p95
+
+
+def tool_gap_frame(group: pd.DataFrame) -> pd.DataFrame:
+    """(tool, rid, gap_us) for one conv_id range: one row per non-first turn
+    in restored order, the gap to the turn before it, keyed by the later
+    turn's tool family and role id (``_ROLES`` position)."""
+    from ..stages.fold import conv_boundaries
+
+    conv = np.asarray(group["conv_id"], dtype=object)
+    tidx = np.asarray(group["turn_idx"], dtype=np.int64)
+    order, bounds = conv_boundaries(conv, tidx)
+    role = np.asarray(group["role"], dtype=object)[order]
+    tool = np.asarray(group["tool"], dtype=object)[order]
+    ts = np.asarray(group["ts"], dtype="datetime64[us]").astype(np.int64)[order]
+    rid = pd.Index(_ROLES).get_indexer(role)
+    if (rid < 0).any():
+        raise KeyError(f"unknown roles {sorted(set(role[rid < 0]))}")
+    starts = np.zeros(len(ts), dtype=bool)
+    starts[bounds[:-1]] = True
+    same = ~starts[1:]
+    return pd.DataFrame(
+        {
+            "tool": tool[1:][same],
+            "rid": rid[1:][same].astype(np.int64),
+            "gap_us": (ts[1:] - ts[:-1])[same],
+        }
+    )
+
+
+def tool_quantile_frame(group: pd.DataFrame) -> pd.DataFrame:
+    """Exact p50/p95 per (tool, role id) of one tool range, in (tool, role
+    id) order: the k-th smallest gap by ``np.partition``, k = ceil(q·n)
+    in integer ppm arithmetic (the twin's rank rule)."""
+    tool = np.asarray(group["tool"], dtype=object)
+    codes, uniq = pd.factorize(tool, sort=True)
+    cell = codes.astype(np.int64) * len(_ROLES) + np.asarray(group["rid"], dtype=np.int64)
+    order = np.argsort(cell, kind="stable")
+    cell, gap = cell[order], np.asarray(group["gap_us"], dtype=np.int64)[order]
+    bounds = np.append(np.flatnonzero(np.diff(cell, prepend=-1)), len(cell))
+    rows = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        n = int(hi - lo)
+        ks = [(q * n + 999_999) // 1_000_000 - 1 for q in _QUANTILE_PPMS]
+        part = np.partition(gap[lo:hi], ks)
+        c = int(cell[lo])
+        rows.append((uniq[c // len(_ROLES)], _ROLES[c % len(_ROLES)], n, *part[ks]))
+    out = pd.DataFrame(rows, columns=["tool", "role", "n", "p50_us", "p95_us"])
+    out[["n", "p50_us", "p95_us"]] = out[["n", "p50_us", "p95_us"]].astype(np.int64)
+    return out
 
 
 def transcript_tool_latency(path: str):
     """Exact p50/p95 of the turn-to-turn time gap, grouped by (tool
     family, role of the later turn) — the latency telemetry an agent
     platform reads off its own transcripts (how long do tool turns take
-    vs assistant turns, per pipeline family).
+    vs assistant turns, per pipeline family) → Dataset(tool, role, n,
+    p50_us, p95_us) in (tool, role id) order.
 
-    Shape: the conversation exchange restores turn order and emits the
-    narrow (gid, gap_us) table (one int pair per non-first turn), materialized
-    like ``docs_quality_rank``'s key table; both quantiles then run as ONE
-    ``exact_grouped_quantiles_int`` histogram-narrowing selection —
-    (tool × role) is a BOUNDED group set, every group and both ranks
-    narrowed in the same passes, no sort. Rank semantics k = ceil(q·n)
-    shared with the kernel, so the DuckDB twin (LAG + windowed rank
+    Shape: two ordered key exchanges on Ray tasks, no Ray Data barrier.
+    The conversation exchange restores turn order and emits one narrow
+    (tool, rid, gap_us) row per non-first turn (``tool_gap_frame``); the
+    tool exchange co-locates each tool family, and ``tool_quantile_frame``
+    selects both ranks per (tool, role) with ``np.partition``, no sort.
+    A fold task of the tool exchange holds every gap of the tools in its
+    range: about 24 bytes per gap in its frame (tool pointer, role id and
+    gap, 8 each), plus its Arrow input and sort buffers of like size.
+    Rank semantics k = ceil(q·n), so the DuckDB twin (LAG + windowed rank
     selection) is bit-exact."""
-    from ..sources.transcripts import read_transcripts
-    from ..stages.fold import conv_boundaries, conv_exchange
-    from .relational import exact_grouped_quantiles_int
-
-    # bounded tool-family set → stable integer gids (sorted for determinism)
-    tools = sorted(
-        read_transcripts(path, columns=["tool"])
-        .map_batches(lambda b: b.drop_duplicates(["tool"]), batch_format="pandas")
-        .to_pandas()["tool"].unique()
-    )
-    t2i = {t: i for i, t in enumerate(tools)}
-
-    def gaps(group: pd.DataFrame) -> pd.DataFrame:
-        conv = np.asarray(group["conv_id"], dtype=object)
-        tidx = np.asarray(group["turn_idx"], dtype=np.int64)
-        role = np.asarray(group["role"], dtype=object)
-        tool = np.asarray(group["tool"], dtype=object)
-        ts = np.asarray(group["ts"], dtype="datetime64[us]").astype(np.int64)
-        order, bounds = conv_boundaries(conv, tidx)
-        rl, tl, t = role[order], tool[order], ts[order]
-        gid_out, gap_out = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for i in range(len(bounds) - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if hi - lo < 2:
-                continue
-            g = t[lo + 1 : hi] - t[lo : hi - 1]
-            gids = np.array(
-                [t2i[x] * 4 + _ROLE_IDS[r] for x, r in zip(tl[lo + 1 : hi], rl[lo + 1 : hi])],
-                dtype=np.int64,
-            )
-            gid_out.append(gids)
-            gap_out.append(g)
-        return pd.DataFrame(
-            {"gid": np.concatenate(gid_out), "gap_us": np.concatenate(gap_out)}
-        )
-
-    gap_ds = conv_exchange(
-        path, ["conv_id", "turn_idx", "role", "tool", "ts"], gaps
-    ).materialize()
-
-    sel = exact_grouped_quantiles_int(gap_ds, "gid", "gap_us", (500_000, 950_000))
-    rows = []
-    for gid in sorted(sel):
-        (n, _k, v50), (_n, _k95, v95) = sel[gid]
-        rows.append((tools[gid // 4], ["user", "assistant", "tool"][gid % 4], n, v50, v95))
-    out = pd.DataFrame(rows, columns=["tool", "role", "n", "p50_us", "p95_us"])
-    out[["n", "p50_us", "p95_us"]] = out[["n", "p50_us", "p95_us"]].astype(np.int64)
-
     import ray.data
 
-    return ray.data.from_pandas(out)
+    from ..stages.fold import conv_exchange_refs, key_exchange
+
+    gaps = conv_exchange_refs(
+        path, ["conv_id", "turn_idx", "role", "tool", "ts"], tool_gap_frame
+    )
+    return ray.data.from_arrow_refs(key_exchange(gaps, "tool", tool_quantile_frame))
 
 
 def transcript_tool_latency_sql(path: str) -> str:
@@ -608,7 +621,9 @@ def transcript_role_transitions(path: str):
     Shape: the conversation exchange; per-range vectorized boundary-masked
     shift (the bigram kernel's shape over roles instead of tokens); the
     per-range partials (≤ 9 cells each) are summed by the caller."""
-    from ..stages.fold import conv_boundaries, conv_exchange
+    import ray.data
+
+    from ..stages.fold import conv_boundaries, conv_exchange_refs
 
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
         conv = np.asarray(group["conv_id"], dtype=object)
@@ -634,23 +649,27 @@ def transcript_role_transitions(path: str):
 
     # conversations never span ranges, so per-range nunique sums are
     # exact global nuniques
-    per_range = conv_exchange(path, ["conv_id", "turn_idx", "role"], pairs)
-    return _combine_cells(per_range, ["prev_role", "role"])
+    per_range = conv_exchange_refs(path, ["conv_id", "turn_idx", "role"], pairs)
+    return ray.data.from_pandas(_combine_cells(per_range, ["prev_role", "role"]))
 
 
-def _combine_cells(per_range, keys: list[str]):
-    """Sum the per-range partials of a bounded-key rollup in this process →
-    Dataset sorted by ``keys``. The cell count is bounded (role pairs, tool
-    families), so one local combine replaces a shuffle and a sort."""
-    import ray.data
+def _combine_cells(refs: list, keys: list[str]) -> pd.DataFrame:
+    """Sum the partials of a bounded-key rollup in this process → frame
+    sorted by ``keys``. ``refs`` are the object refs of the tasks that
+    built them (fold outputs as Arrow tables, map-task pandas frames). The
+    cell count is bounded (role pairs, tool families, days), so one
+    ``ray.get`` and a local combine replace a shuffle, a sort and any Ray
+    Data execution."""
+    import ray
 
-    out = per_range.to_pandas()
-    if out.empty:  # no rows at all: the empty Dataset, as a Ray Data rollup gives
-        return per_range
+    parts = [p if isinstance(p, pd.DataFrame) else p.to_pandas() for p in ray.get(refs)]
+    out = pd.concat(parts, ignore_index=True)
+    if out.empty:  # no rows at all: the empty frame
+        return out
     out = out.groupby(keys, as_index=False, sort=True).sum()
     vals = [c for c in out.columns if c not in keys]
     out[vals] = out[vals].astype(np.int64)
-    return ray.data.from_pandas(out)
+    return out
 
 
 def transcript_role_transitions_sql(path: str) -> str:
@@ -744,55 +763,67 @@ ORDER BY conv_id, turn_idx
 # turn, on no other family) — the telemetry shows it.
 
 
+def rollup_rows(batch) -> pd.DataFrame:
+    """Per-turn (tool, day_epoch, n_turns=1, n_hits, n_fields) of an
+    ``InvoiceFieldExtractor`` output table."""
+    import pyarrow.compute as pc
+
+    from ..stages.invoice_extract import FIELD_PREFIX
+
+    nf = np.zeros(len(batch), dtype=np.int64)
+    for name in batch.schema.names:
+        if name.startswith(FIELD_PREFIX):
+            got = pc.coalesce(batch[name], "")
+            nf += pc.not_equal(got, "").to_numpy(zero_copy_only=False).astype(np.int64)
+    day = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[D]").astype(np.int64)
+    return pd.DataFrame(
+        {
+            "tool": np.asarray(batch["tool"].to_pandas(), dtype=object),
+            "day_epoch": day,
+            "n_turns": np.int64(1),
+            "n_hits": (nf > 0).astype(np.int64),
+            "n_fields": nf,
+        }
+    )
+
+
+_RATE_KEYS = ["tool", "day_epoch"]
+
+
+def _extract_rate_partial(files: list[str]) -> pd.DataFrame:
+    """Map task: the invoice bank over ``files``, one file at a time →
+    (n_turns, n_hits, n_fields) sums per (tool, day_epoch)."""
+    import pyarrow.parquet as pq
+
+    from ..stages.invoice_extract import InvoiceFieldExtractor
+
+    extract = InvoiceFieldExtractor()
+    parts = [
+        rollup_rows(extract(pq.read_table(f, columns=["tool", "ts", "text"])))
+        .groupby(_RATE_KEYS, as_index=False, sort=False).sum()
+        for f in files
+    ]
+    return pd.concat(parts, ignore_index=True).groupby(_RATE_KEYS, as_index=False, sort=False).sum()
+
+
 def transcript_extract_rate(path: str):
     """(tool, day_epoch, n_turns, n_hits, n_fields, hit_ppm) sorted.
 
     Map-only extraction + bounded-group rollup (tool families × days):
-    no exchange carries text; day is the epoch-day integer so both
-    engines agree bytewise on the time key. ``hit`` = at least one bank
-    field extracted non-empty; ``n_fields`` sums fields over turns."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from ..sources.transcripts import read_transcripts
-    from ..stages.invoice_extract import FIELD_PREFIX, InvoiceFieldExtractor
-    from .common import grouped_sums
-
-    ds = read_transcripts(path, columns=["tool", "ts", "text"])
-    extracted = ds.map_batches(InvoiceFieldExtractor(), batch_format="pyarrow")
-
-    def rollup_rows(batch: pa.Table) -> pd.DataFrame:
-        nf = np.zeros(len(batch), dtype=np.int64)
-        for name in batch.schema.names:
-            if name.startswith(FIELD_PREFIX):
-                got = pc.coalesce(batch[name], "")
-                nf += pc.not_equal(got, "").to_numpy(zero_copy_only=False).astype(np.int64)
-        day = (
-            batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[D]").astype(np.int64)
-        )
-        return pd.DataFrame(
-            {
-                "tool": np.asarray(batch["tool"].to_pandas(), dtype=object),
-                "day_epoch": day,
-                "n_turns": np.int64(1),
-                "n_hits": (nf > 0).astype(np.int64),
-                "n_fields": nf,
-            }
-        )
-
-    agg = grouped_sums(
-        extracted.map_batches(rollup_rows, batch_format="pyarrow"),
-        ["tool", "day_epoch"],
-        ["n_turns", "n_hits", "n_fields"],
-    ).to_pandas()  # bounded: tool families x days
-
-    agg["hit_ppm"] = (1_000_000 * agg["n_hits"]) // agg["n_turns"]
-    agg = agg.sort_values(["tool", "day_epoch"]).reset_index(drop=True)
-    for c in ("day_epoch", "n_turns", "n_hits", "n_fields", "hit_ppm"):
-        agg[c] = agg[c].astype(np.int64)
-
+    one Ray task per file group (``stages.fold.parquet_shards``) runs the
+    bank and returns its per-cell sums, the caller combines them from the
+    tasks' object refs; no exchange carries text and no Ray Data
+    execution runs. Day is the epoch-day integer so both engines agree
+    bytewise on the time key. ``hit`` = at least one bank field extracted
+    non-empty; ``n_fields`` sums fields over turns."""
+    import ray
     import ray.data
 
+    from ..stages.fold import parquet_shards
+
+    task = ray.remote(_extract_rate_partial)
+    agg = _combine_cells([task.remote(files) for files in parquet_shards(path)], _RATE_KEYS)
+    agg["hit_ppm"] = (1_000_000 * agg["n_hits"]) // agg["n_turns"]
     return ray.data.from_pandas(agg)
 
 
@@ -842,7 +873,9 @@ def transcript_prompt_response(path: str):
     below ~10^11 pairs — beyond that, shard the corpus and merge the
     per-shard moment rows in Python ints; the combine itself has no
     wider-than-int64 path)."""
-    from ..stages.fold import conv_exchange
+    import ray.data
+
+    from ..stages.fold import conv_exchange_refs
 
     def proj(batch):
         import pyarrow as pa
@@ -878,10 +911,10 @@ def transcript_prompt_response(path: str):
         )
         return df.groupby("tool", as_index=False, sort=False).sum()
 
-    per_range = conv_exchange(
+    per_range = conv_exchange_refs(
         path, ["conv_id", "turn_idx", "role", "tool", "text"], fold, pre=proj
     )
-    return _combine_cells(per_range, ["tool"])
+    return ray.data.from_pandas(_combine_cells(per_range, ["tool"]))
 
 
 def transcript_prompt_response_sql(path: str) -> str:

@@ -213,9 +213,9 @@ def key_exchange(shards: list, key: str, frame_fn, load=_as_table, nbytes: int |
     ordered output. Ranges: one per cluster CPU, more for large inputs
     (``state.lineage._n_groups`` over ``nbytes``, by default the loaded
     bytes), at most one per distinct key. Not the extract engine's four per
-    CPU: each range costs every later pass a task (swept 1, 2, 4 per CPU on
-    400 convs at 2 CPUs: 1 was fastest, 4 up to 2x slower on tool_latency's
-    multi-pass quantiles)."""
+    CPU: each range costs a fold task, and a chained exchange a task per
+    range and shard more (swept 1, 2, 4 per CPU on 400 convs at 2 CPUs: 1
+    was fastest)."""
     import ray
 
     from ..runtime import _cluster_cpus

@@ -65,7 +65,7 @@ class InvoiceFieldExtractor:
         text = batch["text"]
         # lost-anchor re-prefix quirk (nordic-invoice.py:69-70)
         prefixed = pc.binary_join_element_wise(
-            pa.array(["Order No."] * len(text)), text, ""
+            pa.array(["Order No."] * len(text), text.type), text, ""
         )
         text = pc.if_else(pc.starts_with(text, ":"), prefixed, text)
         for name, pat in self.patterns.items():

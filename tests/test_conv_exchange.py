@@ -105,23 +105,39 @@ def test_op_frame_is_independent_of_range_count(ray_session, corpora, monkeypatc
     pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
 
 
-@pytest.mark.parametrize("op", MOVED)
+@pytest.mark.parametrize("op", MOVED + ["extract_rate"])
 def test_empty_directory_raises(ray_session, tmp_path, op):
-    """No Parquet files: the exchange names the directory. tool_latency
-    reads its tool families through Ray Data before the exchange, which
-    fails first, as it did before the exchange existed."""
-    want = KeyError if op == "tool_latency" else FileNotFoundError
-    with pytest.raises(want):
+    """No Parquet files: the exchange (or extract_rate's file grouping)
+    names the directory."""
+    with pytest.raises(FileNotFoundError):
         getattr(tr, f"transcript_{op}")(str(tmp_path)).materialize()
 
 
-@pytest.mark.parametrize("op", [m for m in MOVED if m != "tool_latency"])
+@pytest.mark.parametrize("op", MOVED + ["extract_rate"])
 def test_zero_row_corpus_gives_an_empty_frame(ray_session, small_corpus_dir, tmp_path, op):
     """Files without rows: no conversations, so an empty result, as the
-    Ray Data groupby path gave (tool_latency's tool read fails first)."""
+    Ray Data groupby path gave."""
     empty = _table(small_corpus_dir).slice(0, 0)
     pq.write_table(empty, tmp_path / "part-0.parquet")
     assert getattr(tr, f"transcript_{op}")(str(tmp_path)).to_pandas().empty
+
+
+def test_conv_ops_run_without_ray_data_barriers(ray_session, small_corpus_dir, monkeypatch):
+    """Every op of the benchmark's ``conv_ops`` workload completes with
+    Ray Data's groupby, sort, repartition and Parquet read disabled: all of
+    them run on Ray tasks, and a Dataset is only built over the result."""
+    import ray.data
+
+    from perfbench.workloads import DEDUP_OPS, SHUFFLE_OPS
+
+    def barrier(*_a, **_k):
+        raise AssertionError("Ray Data barrier in a conv_ops op")
+
+    for name in ("groupby", "sort", "repartition"):
+        monkeypatch.setattr(ray.data.Dataset, name, barrier)
+    monkeypatch.setattr(ray.data, "read_parquet", barrier)
+    for op in SHUFFLE_OPS + DEDUP_OPS:
+        assert len(getattr(tr, f"transcript_{op}")(small_corpus_dir).to_pandas()), op
 
 
 def test_range_bounds():

@@ -283,6 +283,17 @@ def test_basket_pairs_matches_duckdb(ray_session, sf):
     assert (eng["type_a"] < eng["type_b"]).all()  # unordered-pair canon
 
 
+@pytest.mark.parametrize("op", ["q3_segment_topk", "lineitem_basket_pairs"])
+def test_topk_frames_carry_no_block_row_labels(ray_session, op):
+    """Neither the per-block top-k nor the sort's merge leaks pandas row
+    labels: every run's frame has a fresh RangeIndex."""
+    from pdf_extractors_ray.ops import relational as rl
+
+    for _ in range(3):
+        df = getattr(rl, op)("/root/testdata/sf0.001").to_pandas()
+        pd.testing.assert_index_equal(df.index, pd.RangeIndex(len(df)))
+
+
 def test_basket_pairs_crafted(ray_session, tmp_path):
     """Hand-built baskets: duplicate types in one order count ONCE, and
     pair counts are exact."""
