@@ -487,7 +487,7 @@ def run_bench() -> dict:
     from pdf_extractors_ray.sources.transcripts import synthesize_transcripts
     from pdf_extractors_ray.state.lineage import partitioned_extract_all_tasks
 
-    tune_data_context(NUM_CPUS)
+    tune_data_context()
 
     # dedicated bench corpus, sized so fold compute dominates shuffle/startup
     # overhead; generated once (parallel Ray tasks), cached across runs

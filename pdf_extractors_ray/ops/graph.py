@@ -204,7 +204,9 @@ def docs_graph_triangles(sf_dir: str):
     from .common import cogroup_join, grouped_sums
 
     path = os.path.join(sf_dir, "documents.parquet")
-    nodes = read_parquet_sized(path, columns=["doc_id"])
+    # materialized once: its four consumers (the max, emit_edges, the semi
+    # join and the zero markers) would each re-read the file
+    nodes = read_parquet_sized(path, columns=["doc_id"]).materialize()
     n_max = int(nodes.max("doc_id")) + 1
 
     def emit_edges(batch: pd.DataFrame) -> pd.DataFrame:

@@ -502,7 +502,7 @@ EXTRACT_KERNEL_MEMBER_CODERS_SQL = _member_coders_sql()
 # extract_kernel_invoice_bank pins the per-fragment regex bank; this query
 # pins the FOLD that consumes it (M26 fragmenter ':'-quirk, M27 header
 # broadcast incl. the has-Invoice guard, M28 delivery-date LOCF) by running
-# the PRODUCTION pipeline stages (InvoiceFieldExtractor -> map_partitions
+# the PRODUCTION pipeline stages (InvoiceFieldExtractor -> fold_conv_ranges
 # with _fold_invoice_partition — the same objects extract_invoice
 # composes) over deterministically rendered fragment
 # conversations, against a DuckDB window-SQL twin
@@ -550,7 +550,7 @@ def extract_kernel_invoice_fold(sf_dir: str):
     import pyarrow as pa
 
     from ..pipelines.extract import _fold_invoice_partition
-    from ..stages.fold import map_partitions
+    from ..stages.fold import fold_conv_ranges
     from ..stages.invoice_extract import InvoiceFieldExtractor
 
     ds = _docs(sf_dir, columns=["doc_id"])
@@ -559,7 +559,7 @@ def extract_kernel_invoice_fold(sf_dir: str):
         conv, tidx, text = [], [], []
         for i in batch["doc_id"]:
             for pos, frag in _render_fold_frags_py(int(i)):
-                conv.append(str(int(i)))  # part_id hashing keys on string conv_ids
+                conv.append(str(int(i)))
                 tidx.append(pos)
                 text.append(frag)
         return pd.DataFrame(
@@ -568,7 +568,7 @@ def extract_kernel_invoice_fold(sf_dir: str):
              "text": text}
         )
 
-    folded = map_partitions(
+    folded = fold_conv_ranges(
         ds.map_batches(render, batch_format="pandas")
         .map_batches(InvoiceFieldExtractor(), batch_format="pyarrow"),
         _fold_invoice_partition,

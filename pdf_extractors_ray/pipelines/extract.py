@@ -1,10 +1,11 @@
 """End-to-end extraction pipelines, one Ray Data pipeline per family.
 
 Shape (SURVEY.md §7.1): pruned Parquet read → vectorized per-turn stages →
-``part_id`` co-location (``stages.fold.map_partitions``: one
-``groupby(part_id)`` per family) → ordered per-conversation fold inside
-each partition → (census only) embarrassingly-parallel downstream stages
-over household rows.
+conv_id co-location (``stages.fold.fold_conv_ranges``: the read's blocks
+range-partitioned by conv_id on ``key_exchange``, one fold task per
+range) → ordered per-conversation fold inside each range → (census only)
+embarrassingly-parallel downstream stages over household rows. Output
+rows come out in conv_id order.
 
 Scale notes:
 - the read prunes both columns and rows (``filter=pc.field("tool") == f`` —
@@ -21,6 +22,7 @@ rows from one read and one exchange.
 
 from __future__ import annotations
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -31,7 +33,7 @@ from ..oracle import invoice as _invoice
 from ..oracle import layout as _layout
 from ..oracle import persons as _persons
 from ..oracle import table as _table
-from ..stages.fold import fold_conversations, map_partitions, rows_to_table
+from ..stages.fold import fold_conv_ranges, fold_conversations, fold_group_table, rows_to_table
 from ..stages.invoice_extract import FIELD_PREFIX, InvoiceFieldExtractor
 from . import schemas
 
@@ -50,7 +52,7 @@ def family_dataset(path: str, family: str):
 
 
 # ---------------------------------------------------------------------------
-# simple fold families: read → part_id co-location → ordered fold
+# simple fold families: read → conv_id co-location → ordered fold
 
 
 def extract_catalog(path: str):
@@ -125,153 +127,23 @@ def extract_grid_crops(path: str):
     )
 
 
-def extract_layout_broadcast(path: str, max_broadcast_headers: int = 1_000_000):
-    """Shuffle-light layout path: distributed header prepass + broadcast map.
-
-    The reference discovers header coordinates once on page 0 and stores
-    them in a module global (``us-ffiec-demographic-Info/ffiec-census.py:6,
-    61-77``, ST4). The scalable equivalent: a vectorized prepass finds each
-    conversation's FIRST header-carrying turn (any turn index — matching
-    ``extract_layout_conv``'s fold semantics, not a turn-0 assumption), the
-    conv→(header_turn, boundaries) map is put in the object store ONCE, and
-    binning becomes a stateless ``map_batches`` over all turns.
-
-    Scale contract: unlike the reference's ONE global header, this map is
-    O(n_convs). The collection is bounded by ``limit(max_broadcast_headers
-    + 1)`` and raises past the guard — beyond that the grouped
-    ``extract_layout`` fold is the scale path (only the header subset
-    shuffles here, so the guard binds the *broadcast*, not the prepass).
-
-    Produces exactly the same rows as ``extract_layout`` (tested, including
-    a late-header conversation).
-    """
-    import json
-
-    import pandas as pd
-    import ray
-
-    from ..oracle import layout as _layout_oracle
-
-    ds = family_dataset(path, "layout")
-
-    def header_candidates(batch: pa.Table) -> pa.Table:
-        # cheap vectorized prefilter; JSON-verified below
-        mask = pc.match_substring(batch["text"], '"header"')
-        return batch.filter(mask).select(["conv_id", "turn_idx", "text"])
-
-    def first_header(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("turn_idx", kind="mergesort")
-        for _, row in g.iterrows():
-            try:
-                payload = json.loads(row["text"])
-            except json.JSONDecodeError:
-                continue
-            if "header" in payload:
-                return pd.DataFrame(
-                    {
-                        "conv_id": [row["conv_id"]],
-                        "header_turn": [int(row["turn_idx"])],
-                        "header_text": [row["text"]],
-                    }
-                )
-        return pd.DataFrame({"conv_id": [], "header_turn": [], "header_text": []})
-
-    header_ds = (
-        ds.map_batches(header_candidates, batch_format="pyarrow")
-        .groupby("conv_id")
-        .map_groups(first_header, batch_format="pandas")
-    )
-    hdr_df = header_ds.limit(max_broadcast_headers + 1).to_pandas()
-    if len(hdr_df) > max_broadcast_headers:
-        raise ValueError(
-            f"extract_layout_broadcast: >{max_broadcast_headers} conversation "
-            "headers — the broadcast map no longer fits; use extract_layout "
-            "(grouped fold) at this scale"
-        )
-    headers = {
-        conv_id: (int(tidx), _layout_oracle.parse_header(json.loads(text)))
-        for conv_id, tidx, text in zip(
-            hdr_df["conv_id"], hdr_df["header_turn"], hdr_df["header_text"]
-        )
-    }
-    headers_ref = ray.put(headers)
-
-    def bin_boxes(batch: pa.Table) -> pa.Table:
-            from ..stages.fold import rows_to_table
-
-            headers = ray.get(headers_ref)  # local object-store fetch per call
-            rows = []
-            for conv_id, tidx, text in zip(
-                batch["conv_id"].to_pylist(),
-                batch["turn_idx"].to_pylist(),
-                batch["text"].to_pylist(),
-            ):
-                entry = headers.get(conv_id)
-                if not entry:
-                    continue
-                header_turn, header = entry
-                if int(tidx) < header_turn:
-                    # the fold skips turns before header discovery
-                    continue
-                # inline single-turn binning (no fold state needed)
-                try:
-                    payload = json.loads(text)
-                except json.JSONDecodeError:
-                    continue
-                row = {name: None for _x, name in header}
-                for box in payload.get("boxes", []):
-                    if box.get("font") != "Arial":
-                        continue
-                    col = _layout_oracle.bin_column(float(box["x0"]), header)
-                    if col:
-                        row[col] = box["text"]
-                if row.get("County Code"):
-                    row["ref_turn"] = int(tidx)
-                    row["conv_id"] = conv_id
-                    rows.append(row)
-            return rows_to_table(rows, schemas.LAYOUT_SCHEMA)
-
-    return ds.map_batches(bin_boxes, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------------
 # invoice: vectorized RE2 bank → light header/LOCF fold
 
 
-def _fold_invoice_partition(group: pa.Table) -> pa.Table:
-    """Partition fold over pre-extracted field columns (no regex work here):
-    conversations split out by factorize + lexsort boundaries."""
-    import numpy as np
-    import pandas as pd
-
-    from ..stages.fold import conv_boundaries
-
-    conv = np.asarray(group["conv_id"].to_pandas(), dtype=object)
-    tidx = group["turn_idx"].to_numpy(zero_copy_only=False)
-    field_cols = {
-        name: np.asarray(group[FIELD_PREFIX + name].to_pandas(), dtype=object)
-        for name in _invoice.PATTERNS
-    }
-    order, bounds = conv_boundaries(conv, tidx)
-    cv, ti = conv[order], tidx[order]
-    field_cols = {k: v[order] for k, v in field_cols.items()}
-    rows: list[dict] = []
-    for i in range(len(bounds) - 1):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        extracted_list = [
-            {
-                name: vals[j]
-                for name, vals in field_cols.items()
-                if vals[j] is not None and not (isinstance(vals[j], float) and pd.isna(vals[j]))
-            }
-            for j in range(lo, hi)
-        ]
-        conv_rows = _invoice.rows_from_extracted(extracted_list, [int(x) for x in ti[lo:hi]])
-        cid = cv[lo]
-        for r in conv_rows:
-            r["conv_id"] = cid
-        rows.extend(conv_rows)
-    return rows_to_table(rows, schemas.INVOICE_SCHEMA)
+def _fold_invoice_partition(group: pd.DataFrame) -> pa.Table:
+    """Key-range fold over pre-extracted field columns (no regex work here):
+    each turn's non-null fields are its payload for the header/LOCF fold."""
+    if group.empty:
+        return schemas.INVOICE_SCHEMA.empty_table()
+    fields = group[[FIELD_PREFIX + name for name in _invoice.PATTERNS]]
+    extracted = [
+        {name: v for name, v in zip(_invoice.PATTERNS, row) if isinstance(v, str)}
+        for row in fields.itertuples(index=False)
+    ]
+    return fold_group_table(
+        group.assign(text=extracted), _invoice.rows_from_extracted, schemas.INVOICE_SCHEMA
+    )
 
 
 def extract_invoice(path: str):
@@ -281,7 +153,7 @@ def extract_invoice(path: str):
     ds = family_dataset(path, "invoice").map_batches(
         InvoiceFieldExtractor(), batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
     )
-    return map_partitions(ds, _fold_invoice_partition)
+    return fold_conv_ranges(ds, _fold_invoice_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +195,34 @@ class PersonsExtractor:
         return rows_to_table(rows, schemas.PERSONS_SCHEMA)
 
 
-def extract_census_summary(path: str, households=None, batch_size: int = 512):
+_SUMMARY_BATCH = 512
+_PERSONS_BATCH = 256  # small, so the kinship work fans out across the cluster
+
+
+def _map_households(households, fn, batch_size: int, schema: pa.Schema):
+    """Per-household ``map_batches``. Ray Data never calls a map on a
+    zero-row block, so no households give the stage's typed empty table
+    (the fold's Dataset knows its row count without executing)."""
+    import ray.data
+
+    if households.count() == 0:
+        return ray.data.from_arrow(schema.empty_table())
+    return households.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+
+
+def extract_census_summary(path: str, households=None):
     """Stateless elastic tasks (not a fixed actor pool): the stage holds no
     loaded state — workers reuse module imports — and a fixed pool size
     would cap scaling below the cluster width."""
     ds = households if households is not None else extract_census_households(path)
-    return ds.map_batches(CensusSummarizer(), batch_format="pyarrow", batch_size=batch_size)
+    return _map_households(ds, CensusSummarizer(), _SUMMARY_BATCH, schemas.CENSUS_SUMMARY_SCHEMA)
 
 
-def extract_census_persons(path: str, households=None, batch_size: int = 256):
+def extract_census_persons(path: str, households=None):
     """Stateless elastic tasks; the compiled regex bank is module state,
-    compiled once per worker process (not per batch). Small batch_size so
-    the kinship work fans out across the cluster."""
+    compiled once per worker process (not per batch)."""
     ds = households if households is not None else extract_census_households(path)
-    return ds.map_batches(PersonsExtractor(), batch_format="pyarrow", batch_size=batch_size)
+    return _map_households(ds, PersonsExtractor(), _PERSONS_BATCH, schemas.PERSONS_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +231,6 @@ EXTRACTORS = {
     "catalog": extract_catalog,
     "invoice": extract_invoice,
     "layout": extract_layout,
-    "layout_broadcast": extract_layout_broadcast,
     "table": extract_table,
     "grid": extract_grid,
     "census_households": extract_census_households,

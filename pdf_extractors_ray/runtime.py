@@ -1,11 +1,10 @@
 """Ray Data execution tuning (never session ownership).
 
-``tune_data_context()`` sizes the shuffle machinery to the cluster:
-hash-based shuffle for groupby/aggregate (no global sort for folds — keys
-only need co-location, not order) with aggregator counts bounded by the
-CPU budget; the default sort-shuffle at 200-way parallelism drowns a small
-CPU budget in actor startup. Idempotent; callable from any pipeline entry
-(the driver owns ``ray.init`` — this only touches ``DataContext``).
+``tune_data_context()`` turns off Ray Data's progress bars and sets
+nothing else: the shuffles keep Ray's default sort-based exchange, and
+block counts are sized where a read feeds one (``sized_num_blocks``,
+``shuffle_num_blocks``). Idempotent; callable from any pipeline entry (the
+driver owns ``ray.init`` — this only touches ``DataContext``).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ def _cluster_cpus(default: int = 8) -> int:
     return int(ray.cluster_resources().get("CPU", default))
 
 
-def tune_data_context(num_cpus: int | None = None) -> None:
+def tune_data_context() -> None:
     """Measured choice (BASELINE.md): the default pull-based sort shuffle
     with COARSE map-side blocks (see ``shuffle_num_blocks``) beats hash
     shuffle here — hash aggregator actors go latency-bound on many small
@@ -32,11 +31,14 @@ def tune_data_context(num_cpus: int | None = None) -> None:
     ctx.enable_progress_bars = False
 
 
-def sized_num_blocks(path: str, floor_bytes: int = 2 << 20,
-                     ceil_bytes: int = 128 << 20, per_cpu: int = 4) -> int:
+_BLOCK_CEIL_BYTES = 128 << 20
+_BLOCKS_PER_CPU = 4
+
+
+def sized_num_blocks(path: str, floor_bytes: int = 2 << 20) -> int:
     """Read block count derived from on-disk bytes, not a constant.
 
-    Target block size = clamp(total_bytes / (per_cpu x CPUs), floor, ceil):
+    Target block size = clamp(total_bytes / (4 x CPUs), floor, 128 MB):
     tiny corpora collapse to a handful of blocks (a 65 KB table in 64
     blocks pays ~1.5 s of pure scheduling per shuffle — measured), while
     large inputs keep ~128 MB blocks so block COUNT grows with data (the
@@ -53,7 +55,8 @@ def sized_num_blocks(path: str, floor_bytes: int = 2 << 20,
         total = os.path.getsize(path)
     if total <= 0:
         return 1
-    block = min(max(total // max(1, per_cpu * _cluster_cpus()), floor_bytes), ceil_bytes)
+    block = total // max(1, _BLOCKS_PER_CPU * _cluster_cpus())
+    block = min(max(block, floor_bytes), _BLOCK_CEIL_BYTES)
     return max(1, -(-total // block))
 
 

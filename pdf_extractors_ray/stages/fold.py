@@ -1,40 +1,38 @@
 """Ordered per-conversation session folds, and the ordered key exchange.
 
 The reference's in-document parsing is a forward-only ordered scan with
-carried state (SURVEY.md §2.9, ST1-ST3). The per-family Ray Data pipelines
-do it in ``map_partitions``: assign a coarse ``part_id = md5(conv_id) %
-n_parts`` (vectorized, Arrow-native), ONE ``groupby(part_id)`` (the
-package's only one) to co-locate conversations, then fold every
-conversation inside the partition with numpy boundary slicing.
-Per-conversation ordering is restored deterministically no matter how the
-input blocks arrived (the synthesizer writes rows shuffled on purpose).
-The all-family extract engine (``state/lineage.partitioned_extract_all_tasks``)
-exchanges the same ``part_id`` on Ray tasks instead.
+carried state (SURVEY.md §2.9, ST1-ST3). Every conversation fold
+co-locates its rows with ONE mechanism, ``key_exchange``: sample tasks
+pick key RANGES (not hash buckets), map tasks split each input by range,
+and one fold task per range runs the op's frame, so the outputs come out
+globally ordered by key and no trailing sort is needed. Inside a range,
+conversations are split out by a factorize + ``np.lexsort`` scan
+(``conv_boundaries``; same hot-loop shape as ``state/lineage.py
+fold_partition``), so per-conversation ordering is restored
+deterministically no matter how the input blocks arrived (the
+synthesizer writes rows shuffled on purpose), and the Python cost is one
+call per range, not per conversation.
 
-Grouping by coarse partitions instead of by ``conv_id`` directly matters at
-scale: ``map_groups`` per conversation costs a Python call + batch build
-per group (~10^5-10^12 of them); per partition it is a few hundred calls
-total, with conversations split out by a factorize + ``np.lexsort`` scan
-(same hot-loop shape as ``state/lineage.py fold_partition``).
-
-Each fold returns a ``pyarrow.Table`` built against the family's fixed
-schema so empty groups unify cleanly and list columns stay native Arrow.
-
-``key_exchange`` is the task-level co-location every conversation and
-dedup op uses instead: sample tasks pick key RANGES (not hash buckets),
-map tasks split each input by range, and one fold task per range runs the
-op's frame, so the outputs come out globally ordered by key and no
-trailing sort is needed. Its inputs are Arrow tables or their object refs
-— typically the previous exchange's fold outputs, so a chain of exchanges
+``key_exchange``'s inputs are Arrow tables or their object refs — a
+Dataset's blocks for the per-family pipelines (``fold_conversations``),
+or the previous exchange's fold outputs, so a chain of exchanges
 (conv_id → digest → conv_id; conv_id → LSH band → pair ``a``) never
 leaves Ray tasks. ``conv_exchange`` feeds it a transcript Parquet
-directory keyed by conv_id.
+directory keyed by conv_id. The all-family extract engine
+(``state/lineage.partitioned_extract_all_tasks``) exchanges a hashed
+``part_id`` on Ray tasks instead, because its partitions are the
+checkpoint unit.
+
+Each family fold returns a ``pyarrow.Table`` built against the family's
+fixed schema so empty ranges unify cleanly and list columns stay native
+Arrow.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -89,11 +87,13 @@ def conv_boundaries(conv: np.ndarray, tidx: np.ndarray):
     return order, bounds
 
 
-def fold_group_table(group: pa.Table, fold_fn: FoldFn, schema: pa.Schema) -> pa.Table:
-    """Fold every conversation inside one co-located partition."""
-    conv = np.asarray(group["conv_id"].to_pandas(), dtype=object)
-    tidx = group["turn_idx"].to_numpy(zero_copy_only=False)
-    texts = np.asarray(group["text"].to_pandas(), dtype=object)
+def fold_group_table(group: pd.DataFrame, fold_fn: FoldFn, schema: pa.Schema) -> pa.Table:
+    """Fold every conversation of one co-located key range."""
+    if group.empty:
+        return schema.empty_table()
+    conv = group["conv_id"].to_numpy(dtype=object)
+    tidx = group["turn_idx"].to_numpy()
+    texts = group["text"].to_numpy(dtype=object)
     if pd.isna(texts).any():
         texts = np.where(pd.isna(texts), "", texts)  # null text ≡ empty line
     order, bounds = conv_boundaries(conv, tidx)
@@ -109,29 +109,17 @@ def fold_group_table(group: pa.Table, fold_fn: FoldFn, schema: pa.Schema) -> pa.
     return rows_to_table(rows, schema)
 
 
-def map_partitions(ds, part_fn: Callable[[pa.Table], pa.Table]):
-    """The part_id co-location of the per-family pipelines: every batch
-    gets ``part_id = md5(conv_id) % n_parts`` (4 per cluster CPU, at least
-    16; 32 without a Ray session), ONE ``groupby(part_id)`` gathers each
-    partition, and ``part_fn`` runs once per partition → Dataset."""
-    import ray
+def fold_conv_ranges(ds, frame_fn: Callable[[pd.DataFrame], pa.Table]):
+    """``key_exchange`` of a Dataset's blocks by conv_id: ``frame_fn`` once
+    per conv_id range → Dataset of its tables, in conv_id order."""
+    import ray.data
 
-    from ..state.lineage import append_part_id
-
-    n_parts = 32
-    if ray.is_initialized():
-        n_parts = max(16, int(ray.cluster_resources().get("CPU", 8)) * 4)
-    ds = ds.map_batches(
-        lambda b: append_part_id(b, n_parts),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return ds.groupby("part_id").map_groups(part_fn, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(key_exchange(ds.to_arrow_refs(), "conv_id", frame_fn))
 
 
 def fold_conversations(ds, fold_fn: FoldFn, schema: pa.Schema):
-    """part_id co-location + ordered per-conversation folds → Dataset."""
-    return map_partitions(ds, lambda g: fold_group_table(g, fold_fn, schema))
+    """conv_id co-location + ordered per-conversation folds → Dataset."""
+    return fold_conv_ranges(ds, partial(fold_group_table, fold_fn=fold_fn, schema=schema))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +137,8 @@ def _key_sample(load, shard, key: str) -> tuple[list, int, int]:
     """Sample task: a strided sample of the shard's sorted distinct keys, the
     number of distinct keys it stands for, and the loaded table's bytes."""
     tbl = load(shard, True)
+    if not tbl.num_rows:  # an empty block may carry no columns at all
+        return [], 0, tbl.nbytes
     uniq = pc.unique(tbl[key].combine_chunks())
     uniq = uniq.take(pc.array_sort_indices(uniq))
     step = max(1, len(uniq) // _SAMPLE_PER_SHARD)
@@ -174,6 +164,8 @@ def _key_map(load, shard, key: str, bounds: np.ndarray):
     per key range. ``searchsorted`` runs once per DISTINCT key of the shard,
     not per row."""
     tbl = load(shard, False)
+    if not tbl.num_rows:
+        return [tbl] * (len(bounds) + 1) if len(bounds) else tbl
     enc = pc.dictionary_encode(tbl[key].combine_chunks())
     uniq = enc.dictionary.to_numpy(zero_copy_only=False)
     if uniq.dtype != object:  # numeric keys: compare as numbers, not objects
@@ -187,9 +179,11 @@ def _key_map(load, shard, key: str, bounds: np.ndarray):
 
 
 def _key_fold(frame_fn, *parts: pa.Table) -> pa.Table:
-    """Fold task: ``frame_fn`` once over one whole key range."""
-    group = pa.concat_tables(parts, promote_options="permissive")
-    return pa.Table.from_pandas(frame_fn(group.to_pandas()), preserve_index=False)
+    """Fold task: ``frame_fn`` once over one whole key range. A frame that
+    returns an Arrow table (a fixed family schema) is passed through."""
+    group = pa.concat_tables(parts, promote_options="permissive") if parts else pa.table({})
+    out = frame_fn(group.to_pandas())
+    return out if isinstance(out, pa.Table) else pa.Table.from_pandas(out, preserve_index=False)
 
 
 def _as_table(shard, _key_only: bool) -> pa.Table:
@@ -198,9 +192,9 @@ def _as_table(shard, _key_only: bool) -> pa.Table:
 
 def key_exchange(shards: list, key: str, frame_fn, load=_as_table, nbytes: int | None = None):
     """Co-locate every row of ``shards`` by ``key`` and run ``frame_fn``
-    (pandas frame -> pandas frame) once per key range → the fold outputs'
-    object refs (Arrow tables), in key-range order. Ray tasks, no Ray Data
-    barrier:
+    (pandas frame -> pandas frame or Arrow table) once per key range → the
+    fold outputs' object refs (Arrow tables), in key-range order. Ray tasks,
+    no Ray Data barrier:
 
     1. one sample task per shard returns a bounded, strided sample of its
        sorted distinct keys; the caller picks the range boundaries;
@@ -209,13 +203,13 @@ def key_exchange(shards: list, key: str, frame_fn, load=_as_table, nbytes: int |
 
     A shard is an Arrow table or an object ref to one, or whatever
     ``load(shard, key_only)`` turns into one (``key_only`` lets a sample
-    read less). So a frame that orders its rows by key yields globally
-    ordered output. Ranges: one per cluster CPU, more for large inputs
-    (``state.lineage._n_groups`` over ``nbytes``, by default the loaded
-    bytes), at most one per distinct key. Not the extract engine's four per
-    CPU: each range costs a fold task, and a chained exchange a task per
-    range and shard more (swept 1, 2, 4 per CPU on 400 convs at 2 CPUs: 1
-    was fastest)."""
+    read less); an empty shard may carry no columns. So a frame that orders
+    its rows by key yields globally ordered output. Ranges: one per cluster
+    CPU, more for large inputs (``state.lineage._n_groups`` over
+    ``nbytes``, by default the loaded bytes), at most one per distinct key.
+    Not the extract engine's four per CPU: each range costs a fold task,
+    and a chained exchange a task per range and shard more (swept 1, 2, 4
+    per CPU on 400 convs at 2 CPUs: 1 was fastest)."""
     import ray
 
     from ..runtime import _cluster_cpus

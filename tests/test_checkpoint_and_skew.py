@@ -79,17 +79,10 @@ def test_hot_conversation_detection(ray_session, small_corpus_dir):
     assert all(is_hot_conv(c) for c in hot)
 
 
-def test_layout_broadcast_equals_fold(ray_session, small_corpus_dir):
-    fold = extract.extract_layout(small_corpus_dir).to_pandas()
-    bcast = extract.extract_layout_broadcast(small_corpus_dir).to_pandas()
-    assert len(bcast) == len(fold) > 0
-    pd.testing.assert_frame_equal(canonical(fold), canonical(bcast), check_dtype=False)
-
-
 def test_layout_broadcast_late_header(ray_session, tmp_path):
-    """A conversation whose header arrives after turn 0 must yield the same
-    rows from the broadcast path as from the fold (header discovered on the
-    FIRST carrying turn, turns before it skipped)."""
+    """A conversation whose header arrives after turn 0: the fold discovers
+    it on the FIRST carrying turn, skips the turns before it, and bins every
+    later turn against it."""
     import json
 
     import pyarrow as pa
@@ -129,9 +122,8 @@ def test_layout_broadcast_late_header(ray_session, tmp_path):
     pq.write_table(tbl, str(corpus / "part-00000.parquet"))
 
     fold = extract.extract_layout(str(corpus)).to_pandas()
-    bcast = extract.extract_layout_broadcast(str(corpus)).to_pandas()
-    assert sorted(fold["ref_turn"]) == [2, 3]
-    pd.testing.assert_frame_equal(canonical(fold), canonical(bcast), check_dtype=False)
+    assert fold["ref_turn"].tolist() == [2, 3]
+    assert fold["County Code"].tolist() == ["22", "33"]
 
 
 def test_salted_invoice_equals_plain(ray_session, small_corpus_dir):
