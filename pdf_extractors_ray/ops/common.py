@@ -17,10 +17,9 @@ def cents(x) -> np.ndarray:
 
 
 def _default_buckets() -> int:
-    import ray
+    from ..runtime import _cluster_cpus
 
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(4, 2 * cpus)
+    return max(4, 2 * _cluster_cpus())
 
 
 def bucketed_group_agg(ds, keys: list[str], agg: dict[str, str],

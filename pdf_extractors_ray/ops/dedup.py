@@ -18,6 +18,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 _N_HASHES = 64
 _BANDS = 16  # 16 bands x 4 rows
@@ -681,7 +682,7 @@ def _one_bucket(ids: np.ndarray, hashes: np.ndarray, max_hamming: int,
     return _hamming_pairs_chunked(ids, hashes, max_hamming)
 
 
-def emit_band_pairs(group: pd.DataFrame, max_hamming: int, max_bucket: int) -> pd.DataFrame:
+def emit_band_pairs(group: pa.Table, max_hamming: int, max_bucket: int) -> pd.DataFrame:
     """Verified pairs of every (band, band_val) LSH bucket in one band-key
     range, segmented by vectorized boundary slicing, not ``groupby``:
     band-val groups are ~all-singleton and corpus x 4-bands sized, and a
@@ -690,6 +691,7 @@ def emit_band_pairs(group: pd.DataFrame, max_hamming: int, max_bucket: int) -> p
     groupby loop; the numpy slicing path skips singleton segments with two
     integer compares). A bucket of more than ``max_bucket`` distinct docs
     verifies each member against the bucket minimum only (star cap)."""
+    group = group.to_pandas()
     band = group["band"].to_numpy(np.int64)
     bval = group["band_val"].to_numpy(np.int64)
     ids = group["doc_id"].to_numpy(np.int64)
@@ -718,9 +720,10 @@ def emit_band_pairs(group: pd.DataFrame, max_hamming: int, max_bucket: int) -> p
     return pd.concat(out, ignore_index=True)[_PAIR_COLS]
 
 
-def dedup_pairs_frame(group: pd.DataFrame) -> pd.DataFrame:
+def dedup_pairs_frame(group: pa.Table) -> pd.DataFrame:
     """One ``a`` range of pairs: a pair found in several bands once, with
     its minimum Hamming distance, sorted by (a, b)."""
+    group = group.to_pandas()
     if len(group) == 0:
         return _no_pairs()
     out = group.groupby(["a", "b"], as_index=False, sort=True)["hamming"].min()
@@ -1069,11 +1072,11 @@ def _load_members(shard, _key_only: bool):
                      "cluster_size": pa.array(np.ones(len(ids), np.int64))})
 
 
-def merge_members_frame(group: pd.DataFrame) -> pd.DataFrame:
+def merge_members_frame(group: pa.Table) -> pd.DataFrame:
     """One doc_id range of singletons and endpoint labels: per doc the
     minimum cluster and the maximum size (an endpoint's label and size win
     over its singleton row), sorted by doc_id."""
-    out = group.groupby("doc_id", as_index=False, sort=True).agg(
+    out = group.to_pandas().groupby("doc_id", as_index=False, sort=True).agg(
         cluster=("cluster", "min"), cluster_size=("cluster_size", "max")
     )
     return out.astype(np.int64)

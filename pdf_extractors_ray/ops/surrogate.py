@@ -55,6 +55,33 @@ def _sql_quote(s: str) -> str:
     return "'" + s.replace("'", "''") + "'"
 
 
+def _rendered_turns(sf_dir: str, render):
+    """Dataset of rendered conversation turns (conv_id = str(doc_id), int32
+    turn_idx, text): ``render(doc_id)`` gives one document's (turn_idx,
+    text) pairs."""
+
+    def turns(batch: pd.DataFrame) -> pd.DataFrame:
+        conv, tidx, text = [], [], []
+        for i in batch["doc_id"]:
+            for pos, payload in render(int(i)):
+                conv.append(str(int(i)))
+                tidx.append(pos)
+                text.append(payload)
+        return pd.DataFrame(
+            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
+        )
+
+    return _docs(sf_dir, columns=["doc_id"]).map_batches(turns, batch_format="pandas")
+
+
+def _blank(batch, col: str):
+    """A string column with nulls as '' (what DuckDB's ``regexp_extract``
+    and the twins' ``COALESCE`` give)."""
+    import pyarrow.compute as pc
+
+    return pc.coalesce(batch[col], "")
+
+
 def _sql_case_options(options: list[str], n_col: str = "doc_id") -> str:
     """``CASE doc_id % N WHEN i THEN '<opt_i>' ... END`` over a literal list."""
     n = len(options)
@@ -158,7 +185,6 @@ def extract_kernel_invoice_bank(sf_dir: str):
     invoice text; the DuckDB oracle re-renders the identical text in SQL
     and extracts with ``regexp_extract``."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     from ..stages.invoice_extract import FIELD_PREFIX, InvoiceFieldExtractor
 
@@ -177,7 +203,7 @@ def extract_kernel_invoice_bank(sf_dir: str):
         cols = {"doc_id": batch["doc_id"]}
         for field, out_name in _INV_COLS.items():
             # DuckDB regexp_extract yields '' on no-match; align nulls
-            cols[out_name] = pc.coalesce(batch[FIELD_PREFIX + field], "")
+            cols[out_name] = _blank(batch, FIELD_PREFIX + field)
         return pa.table(cols)
 
     return (
@@ -553,43 +579,23 @@ def extract_kernel_invoice_fold(sf_dir: str):
     from ..stages.fold import fold_conv_ranges
     from ..stages.invoice_extract import InvoiceFieldExtractor
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for pos, frag in _render_fold_frags_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(pos)
-                text.append(frag)
-        return pd.DataFrame(
-            {"conv_id": conv,
-             "turn_idx": np.asarray(tidx, dtype=np.int32),
-             "text": text}
-        )
-
     folded = fold_conv_ranges(
-        ds.map_batches(render, batch_format="pandas")
+        _rendered_turns(sf_dir, _render_fold_frags_py)
         .map_batches(InvoiceFieldExtractor(), batch_format="pyarrow"),
         _fold_invoice_partition,
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        def s(col):
-            return pc.coalesce(batch[col], "")
-
         return pa.table(
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
-                "page": s("Page"),
-                "inv_no": s("Invoice"),
-                "inv_date": s("Invoice Date"),
-                "due_date": s("Due Date"),
-                "customer_no": s("Customer Number"),
-                "order_no": s("Order No."),
-                "delivery_date": s("Delivery date"),
+                "page": _blank(batch, "Page"),
+                "inv_no": _blank(batch, "Invoice"),
+                "inv_date": _blank(batch, "Invoice Date"),
+                "due_date": _blank(batch, "Due Date"),
+                "customer_no": _blank(batch, "Customer Number"),
+                "order_no": _blank(batch, "Order No."),
+                "delivery_date": _blank(batch, "Delivery date"),
             }
         )
 
@@ -699,39 +705,21 @@ def extract_kernel_layout_fold(sf_dir: str):
     from ..pipelines import schemas
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for pos, payload in _render_layout_turns_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(pos)
-                text.append(payload)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     folded = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, _render_layout_turns_py),
         _lay.extract_layout_conv,
         schemas.LAYOUT_SCHEMA,
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        def s(col):
-            return pc.coalesce(batch[col], "")
-
         return pa.table(
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
                 "ref_turn": batch["ref_turn"].cast(pa.int64()),
-                "state_code": s("State Code"),
-                "county_code": s("County Code"),
-                "tract_code": s("Tract Code"),
-                "tract_population": s("Tract Population"),
+                "state_code": _blank(batch, "State Code"),
+                "county_code": _blank(batch, "County Code"),
+                "tract_code": _blank(batch, "Tract Code"),
+                "tract_population": _blank(batch, "Tract Population"),
             }
         )
 
@@ -810,21 +798,8 @@ def extract_kernel_catalog_fold(sf_dir: str):
     from ..pipelines import schemas
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for t, line in enumerate(_render_catalog_lines_py(int(i))):
-                conv.append(str(int(i)))
-                tidx.append(t)
-                text.append(line)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     folded = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, lambda d: enumerate(_render_catalog_lines_py(d))),
         _catmod.extract_catalog_conv,
         schemas.CATALOG_SCHEMA,
     )
@@ -837,10 +812,10 @@ def extract_kernel_catalog_fold(sf_dir: str):
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
                 "ref_turn": batch["ref_turn"].cast(pa.int64()),
-                "manufacturer": pc.coalesce(batch["manufacturer"], ""),
-                "year": pc.coalesce(batch["year"], ""),
-                "model": pc.coalesce(batch["model"], ""),
-                "engine": pc.coalesce(batch["engine"], ""),
+                "manufacturer": _blank(batch, "manufacturer"),
+                "year": _blank(batch, "year"),
+                "model": _blank(batch, "model"),
+                "engine": _blank(batch, "engine"),
                 "oils": pc.coalesce(oils, ""),
             }
         )
@@ -994,21 +969,8 @@ def extract_kernel_census_fold(sf_dir: str):
     from ..pipelines.extract import CensusSummarizer
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for t, payload in _render_census_turns_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(t)
-                text.append(payload)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     households = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, _render_census_turns_py),
         _cenmod.extract_census_conv,
         schemas.HOUSEHOLD_SCHEMA,
     )
@@ -1017,31 +979,28 @@ def extract_kernel_census_fold(sf_dir: str):
     def project(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        def s(col):
-            return pc.coalesce(batch[col], "")
-
         ids = pc.binary_join(batch["declarant_ids"].cast(pa.list_(pa.string())), ";")
         return pa.table(
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
-                "household_number_year": s("household_number_year"),
-                "household_number_location": s("household_number_location"),
-                "household_number_order": s("household_number_order"),
-                "source": s("source"),
-                "provenance": s("provenance"),
-                "provenance_place": s("provenance_place"),
-                "provenance_year": s("provenance_year"),
-                "declarant_name_1": s("declarant_name_1"),
-                "declarant_name_2": s("declarant_name_2"),
-                "declarant_name_3": s("declarant_name_3"),
+                "household_number_year": _blank(batch, "household_number_year"),
+                "household_number_location": _blank(batch, "household_number_location"),
+                "household_number_order": _blank(batch, "household_number_order"),
+                "source": _blank(batch, "source"),
+                "provenance": _blank(batch, "provenance"),
+                "provenance_place": _blank(batch, "provenance_place"),
+                "provenance_year": _blank(batch, "provenance_year"),
+                "declarant_name_1": _blank(batch, "declarant_name_1"),
+                "declarant_name_2": _blank(batch, "declarant_name_2"),
+                "declarant_name_3": _blank(batch, "declarant_name_3"),
                 "declarant_ids": pc.coalesce(ids, ""),
-                "declarant_occupation": s("declarant_occupation"),
+                "declarant_occupation": _blank(batch, "declarant_occupation"),
                 "n_family": batch["number_of_family_members"].cast(pa.int64()),
                 "n_non_family": batch["number_of_non_family_members"].cast(pa.int64()),
                 "n_slaves": batch["number_of_slaves"].cast(pa.int64()),
-                "verif_photo": s("verif_photo"),
-                "discussion_text": s("discussion_text"),
-                "broken": s("discussion_indicates_substantive_record_brokenness"),
+                "verif_photo": _blank(batch, "verif_photo"),
+                "discussion_text": _blank(batch, "discussion_text"),
+                "broken": _blank(batch, "discussion_indicates_substantive_record_brokenness"),
             }
         )
 
@@ -1177,43 +1136,25 @@ def extract_kernel_table_fold(sf_dir: str):
     from ..pipelines import schemas
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for pos, payload in _render_table_turns_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(pos)
-                text.append(payload)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     folded = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, _render_table_turns_py),
         _tab.extract_table_conv,
         schemas.TABLE_SCHEMA,
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        def s(col):
-            return pc.coalesce(batch[col], "")
-
         return pa.table(
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
                 "ref_turn": batch["ref_turn"].cast(pa.int64()),
-                "txn_date": s("Date"),
-                "payee": s("Payee / Payer"),
-                "txn_type": s("Type"),
-                "reference": s("Reference"),
-                "description": s("Description"),
-                "income": s("Income"),
-                "expense": s("Expense"),
-                "balance": s("Balance"),
+                "txn_date": _blank(batch, "Date"),
+                "payee": _blank(batch, "Payee / Payer"),
+                "txn_type": _blank(batch, "Type"),
+                "reference": _blank(batch, "Reference"),
+                "description": _blank(batch, "Description"),
+                "income": _blank(batch, "Income"),
+                "expense": _blank(batch, "Expense"),
+                "balance": _blank(batch, "Balance"),
             }
         )
 
@@ -1311,40 +1252,22 @@ def extract_kernel_grid_fold(sf_dir: str):
     from ..pipelines import schemas
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for pos, payload in _render_grid_turns_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(pos)
-                text.append(payload)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     folded = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, _render_grid_turns_py),
         _grd.extract_grid_conv,
         schemas.GRID_SCHEMA,
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        def s(col):
-            return pc.coalesce(batch[col], "")
-
         return pa.table(
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
                 "ref_turn": batch["ref_turn"].cast(pa.int64()),
-                "c0": s("c0"),
-                "c1": s("c1"),
-                "c3": s("c3"),
-                "c4": s("c4"),
-                "c6": s("c6"),
+                "c0": _blank(batch, "c0"),
+                "c1": _blank(batch, "c1"),
+                "c3": _blank(batch, "c3"),
+                "c4": _blank(batch, "c4"),
+                "c6": _blank(batch, "c6"),
             }
         )
 
@@ -1436,39 +1359,21 @@ def extract_kernel_layout_detect(sf_dir: str):
     from ..pipelines import schemas
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for pos, payload in _render_layout_boxes_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(pos)
-                text.append(payload)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     folded = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, _render_layout_boxes_py),
         _reg.extract_layout_detected_conv,
         schemas.LAYOUT_DETECTED_SCHEMA,
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        def s(col):
-            return pc.coalesce(batch[col], "")
-
         return pa.table(
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
                 "ref_turn": batch["ref_turn"].cast(pa.int64()),
-                "state_code": s("State Code"),
-                "county_code": s("County Code"),
-                "tract_code": s("Tract Code"),
-                "tract_population": s("Tract Population"),
+                "state_code": _blank(batch, "State Code"),
+                "county_code": _blank(batch, "County Code"),
+                "tract_code": _blank(batch, "Tract Code"),
+                "tract_population": _blank(batch, "Tract Population"),
             }
         )
 
@@ -1554,43 +1459,25 @@ def extract_kernel_table_detect(sf_dir: str):
     from ..pipelines import schemas
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for pos, payload in _render_table_boxes_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(pos)
-                text.append(payload)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     folded = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, _render_table_boxes_py),
         _reg.extract_table_detected_conv,
         schemas.TABLE_SCHEMA,
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        def s(col):
-            return pc.coalesce(batch[col], "")
-
         return pa.table(
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
                 "ref_turn": batch["ref_turn"].cast(pa.int64()),
-                "txn_date": s("Date"),
-                "payee": s("Payee / Payer"),
-                "txn_type": s("Type"),
-                "reference": s("Reference"),
-                "description": s("Description"),
-                "income": s("Income"),
-                "expense": s("Expense"),
-                "balance": s("Balance"),
+                "txn_date": _blank(batch, "Date"),
+                "payee": _blank(batch, "Payee / Payer"),
+                "txn_type": _blank(batch, "Type"),
+                "reference": _blank(batch, "Reference"),
+                "description": _blank(batch, "Description"),
+                "income": _blank(batch, "Income"),
+                "expense": _blank(batch, "Expense"),
+                "balance": _blank(batch, "Balance"),
             }
         )
 
@@ -1675,34 +1562,19 @@ def extract_kernel_grid_detect(sf_dir: str):
     from ..pipelines import schemas
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for pos, payload in _render_grid_boxes_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(pos)
-                text.append(payload)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     folded = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, _render_grid_boxes_py),
         _reg.extract_grid_detected_conv,
         schemas.GRID_DETECTED_SCHEMA,
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         cols = {
             "doc_id": batch["conv_id"].cast(pa.int64()),
             "ref_turn": batch["ref_turn"].cast(pa.int64()),
         }
         for i in (0, 1, 3, 4, 6, 8, 9, 10, 11, 12):
-            cols[f"c{i}"] = pc.coalesce(batch[f"c{i}"], "")
+            cols[f"c{i}"] = _blank(batch, f"c{i}")
         return pa.table(cols)
 
     return folded.map_batches(project, batch_format="pyarrow").sort(["doc_id", "ref_turn"])
@@ -1770,34 +1642,19 @@ def extract_kernel_grid_crops(sf_dir: str):
     from ..pipelines import schemas
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for pos, payload in _render_crop_boxes_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(pos)
-                text.append(payload)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     folded = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, _render_crop_boxes_py),
         _reg.extract_grid_crops_conv,
         schemas.GRID_CROPS_SCHEMA,
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table(
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
                 "ref_turn": batch["ref_turn"].cast(pa.int64()),
-                "po_box": pc.coalesce(batch["po_box"], ""),
-                "sold_to": pc.coalesce(batch["sold_to"], ""),
+                "po_box": _blank(batch, "po_box"),
+                "sold_to": _blank(batch, "sold_to"),
             }
         )
 
@@ -1904,21 +1761,8 @@ def extract_kernel_persons_fold(sf_dir: str):
     from ..pipelines.extract import PersonsExtractor
     from ..stages.fold import fold_conversations
 
-    ds = _docs(sf_dir, columns=["doc_id"])
-
-    def render(batch: pd.DataFrame) -> pd.DataFrame:
-        conv, tidx, text = [], [], []
-        for i in batch["doc_id"]:
-            for t, payload in _render_persons_turns_py(int(i)):
-                conv.append(str(int(i)))
-                tidx.append(t)
-                text.append(payload)
-        return pd.DataFrame(
-            {"conv_id": conv, "turn_idx": np.asarray(tidx, dtype=np.int32), "text": text}
-        )
-
     households = fold_conversations(
-        ds.map_batches(render, batch_format="pandas"),
+        _rendered_turns(sf_dir, _render_persons_turns_py),
         _cenmod.extract_census_conv,
         schemas.HOUSEHOLD_SCHEMA,
     )
@@ -1926,9 +1770,6 @@ def extract_kernel_persons_fold(sf_dir: str):
 
     def project(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-
-        def s(col):
-            return pc.coalesce(batch[col], "")
 
         def lst(col):
             return pc.coalesce(
@@ -1938,22 +1779,22 @@ def extract_kernel_persons_fold(sf_dir: str):
         return pa.table(
             {
                 "doc_id": batch["conv_id"].cast(pa.int64()),
-                "household_id": s("household_id"),
-                "id": s("id"),
-                "name": s("name"),
-                "sex": s("sex"),
-                "age": s("age"),
-                "occupation": s("occupation"),
-                "father": s("father"),
-                "mother": s("mother"),
-                "paternal_grandfather": s("paternal_grandfather"),
-                "maternal_grandfather": s("maternal_grandfather"),
-                "spouse": s("spouse"),
+                "household_id": _blank(batch, "household_id"),
+                "id": _blank(batch, "id"),
+                "name": _blank(batch, "name"),
+                "sex": _blank(batch, "sex"),
+                "age": _blank(batch, "age"),
+                "occupation": _blank(batch, "occupation"),
+                "father": _blank(batch, "father"),
+                "mother": _blank(batch, "mother"),
+                "paternal_grandfather": _blank(batch, "paternal_grandfather"),
+                "maternal_grandfather": _blank(batch, "maternal_grandfather"),
+                "spouse": _blank(batch, "spouse"),
                 "siblings": lst("siblings"),
                 "children": lst("children"),
-                "relation_to_declarant": s("relation_to_declarant"),
-                "role": s("role"),
-                "owner": s("owner"),
+                "relation_to_declarant": _blank(batch, "relation_to_declarant"),
+                "role": _blank(batch, "role"),
+                "owner": _blank(batch, "owner"),
             }
         )
 
@@ -2112,7 +1953,6 @@ def ocr_invoice_chain(pages):
     rasterize-in-pipeline kernel above and the binary-file ingest demo
     (``sources/pages.py`` → ``extract_kernel_ocr_invoice_files``)."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     from ..stages.invoice_extract import FIELD_PREFIX, InvoiceFieldExtractor
     from . import glyphs
@@ -2124,7 +1964,7 @@ def ocr_invoice_chain(pages):
     def project(batch: pa.Table) -> pa.Table:
         cols = {"doc_id": batch["doc_id"].cast(pa.int64())}
         for field, out_name in _INV_COLS.items():
-            cols[out_name] = pc.coalesce(batch[FIELD_PREFIX + field], "")
+            cols[out_name] = _blank(batch, FIELD_PREFIX + field)
         cols["rotation_k"] = batch["rotation_k"].cast(pa.int64())
         cols["inverted"] = batch["inverted"].cast(pa.bool_())
         cols["match_ppm"] = batch["match_ppm"].cast(pa.int64())

@@ -14,9 +14,10 @@ shuffle-then-restore is hash-checked end to end.
 Distributed shape, shared by every op here that needs a conversation's
 turns together: ONE conversation exchange (``stages.fold.conv_exchange``)
 — Ray tasks that range-partition the pruned columns by conv_id and run
-the op's frame once per range, with vectorized boundary-slice aggregation
-inside it. The ranges come out in conv_id order, so conversation-keyed
-outputs need no sort, and bounded rollups (role transitions, per-tool
+the op's frame once per range on its Arrow table, with vectorized
+boundary-slice aggregation over the shared slicer's runs
+(``stages.fold.conv_runs``) inside it. The ranges come out in conv_id
+order, so conversation-keyed outputs need no sort, and bounded rollups (role transitions, per-tool
 moments) sum their per-range partials in the calling process, fetched by
 their object refs. The dedup ops and ``tool_latency`` chain further
 ordered key exchanges (``stages.fold.key_exchange``) on the fold outputs'
@@ -32,35 +33,36 @@ import hashlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from ..stages.fold import conv_runs, key_codes, ordered_column, run_continues, turn_texts
 
 
-def conv_hygiene_frame(group: pd.DataFrame) -> pd.DataFrame:
+def _ts_us(group: pa.Table, order: np.ndarray) -> np.ndarray:
+    """The ``ts`` column as int64 microseconds, in ``order``."""
+    return ordered_column(group, "ts", order).astype("datetime64[us]").astype(np.int64)
+
+
+def conv_hygiene_frame(group: pa.Table) -> pd.DataFrame:
     """Per-conversation structural stats for one co-located partition.
 
     All columns are vectorized over the partition's (conv, turn_idx)
     sort; the only per-conversation Python is the role-initial join that
     feeds the order-sensitive digest."""
-    from ..stages.fold import conv_boundaries
     from .text import _md5_hash15_str
 
-    conv = np.asarray(group["conv_id"], dtype=object)
-    tidx = np.asarray(group["turn_idx"], dtype=np.int64)
-    role = np.asarray(group["role"], dtype=object)
-    ts = np.asarray(group["ts"], dtype="datetime64[us]").astype(np.int64)
-    order, bounds = conv_boundaries(conv, tidx)
-    cv, rl, t = conv[order], role[order], ts[order]
+    order, bounds, (conv_ids,) = conv_runs(group)
+    rl, t = ordered_column(group, "role", order), _ts_us(group, order)
     is_tool = (rl == "tool").astype(np.int64)
     initials = np.array([r[0] for r in rl], dtype=object)
 
     n = len(bounds) - 1
-    conv_ids = np.empty(n, dtype=object)
     seqs = np.empty(n, dtype=object)
     n_turns = np.empty(n, dtype=np.int64)
     n_tool = np.empty(n, dtype=np.int64)
     span = np.empty(n, dtype=np.int64)
     for i in range(n):
         lo, hi = int(bounds[i]), int(bounds[i + 1])
-        conv_ids[i] = cv[lo]
         seqs[i] = "".join(initials[lo:hi])
         n_turns[i] = hi - lo
         n_tool[i] = int(is_tool[lo:hi].sum())
@@ -124,8 +126,6 @@ def turn_digest_batch(batch):
     text corpus (exchange volume drops by the corpus/digest size
     ratio). Arrow in, Arrow out, so the shard map never builds pandas
     blocks of the text."""
-    import pyarrow as pa
-
     texts = batch.column("text").to_pylist()
     digests = pa.array(
         [hashlib.md5(("" if t is None else t).encode("utf-8")).hexdigest() for t in texts],
@@ -140,7 +140,7 @@ def turn_digest_batch(batch):
     )
 
 
-def conv_digest_frame(group: pd.DataFrame) -> pd.DataFrame:
+def conv_digest_frame(group: pa.Table) -> pd.DataFrame:
     """Per-conversation content digest for one co-located partition:
     the 128-bit md5 hex over the CONCATENATED per-turn md5 hexes in
     turn order (fixed-width components, so no separator is needed and
@@ -151,20 +151,13 @@ def conv_digest_frame(group: pd.DataFrame) -> pd.DataFrame:
     full turn sequences are byte-identical (up to md5 collisions).
     DuckDB mirror: ``md5(string_agg(md5(text), '' ORDER BY
     turn_idx))``."""
-    from ..stages.fold import conv_boundaries
-
-    conv = np.asarray(group["conv_id"], dtype=object)
-    tidx = np.asarray(group["turn_idx"], dtype=np.int64)
-    tmd5 = np.asarray(group["turn_md5"], dtype=object)
-    order, bounds = conv_boundaries(conv, tidx)
-    cv, tx = conv[order], tmd5[order]
+    order, bounds, (conv_ids,) = conv_runs(group)
+    tx = ordered_column(group, "turn_md5", order)
     n = len(bounds) - 1
-    conv_ids = np.empty(n, dtype=object)
     digests = np.empty(n, dtype=object)
     n_turns = np.empty(n, dtype=np.int64)
     for i in range(n):
         lo, hi = int(bounds[i]), int(bounds[i + 1])
-        conv_ids[i] = cv[lo]
         digests[i] = hashlib.md5("".join(tx[lo:hi]).encode("ascii")).hexdigest()
         n_turns[i] = hi - lo
     return pd.DataFrame(
@@ -176,10 +169,11 @@ def conv_digest_frame(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def conv_dup_label_frame(group: pd.DataFrame) -> pd.DataFrame:
+def conv_dup_label_frame(group: pa.Table) -> pd.DataFrame:
     """Representative (minimum conv_id) and duplicate flag per conversation
     for one digest range: every row of a digest is in the range, so the
     in-range group min is the global one."""
+    group = group.to_pandas()
     conv = group["conv_id"].to_numpy(object)
     rep = group.groupby("conv_digest", sort=False)["conv_id"].transform("min").to_numpy(object)
     return pd.DataFrame(
@@ -192,8 +186,8 @@ def conv_dup_label_frame(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _by_conv_id(group: pd.DataFrame) -> pd.DataFrame:
-    return group.sort_values("conv_id", kind="mergesort").reset_index(drop=True)
+def _by_conv_id(group: pa.Table) -> pd.DataFrame:
+    return group.to_pandas().sort_values("conv_id", kind="mergesort").reset_index(drop=True)
 
 
 def transcript_conv_dedup(path: str):
@@ -251,23 +245,21 @@ def _conv_key(conv_id) -> int:
     return int(hashlib.md5(str(conv_id).encode()).hexdigest()[:13], 16)
 
 
-def conv_sig_frame(group: pd.DataFrame) -> pd.DataFrame:
+def conv_sig_frame(group: pa.Table) -> pd.DataFrame:
     """Per-conversation SimHash signature rows (doc_id = ``_conv_key``,
     simhash hex, band0..band3) for one conv_id range, over the turns in
     restored order joined by one space; conversations without tokens carry
     no signature."""
-    from ..stages.fold import conv_boundaries
     from .dedup import simhash_rows
 
-    conv = np.asarray(group["conv_id"], dtype=object)
-    order, bounds = conv_boundaries(conv, np.asarray(group["turn_idx"], dtype=np.int64))
-    tx = [t if isinstance(t, str) else "" for t in np.asarray(group["text"], object)[order]]
+    order, bounds, (conv_ids,) = conv_runs(group)
+    tx = turn_texts(group, order)
     ids, texts = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for cid, lo, hi in zip(conv_ids, bounds[:-1], bounds[1:]):
         text = " ".join(tx[lo:hi])
         if not text.split():
             continue  # empty conversations carry no signature
-        ids.append(_conv_key(conv[order[lo]]))
+        ids.append(_conv_key(cid))
         texts.append(text)
     df = pd.DataFrame({"doc_id": np.asarray(ids, np.int64),
                        "text": pd.Series(texts, dtype=object)})
@@ -317,8 +309,6 @@ def transcript_conv_neardup(path: str, max_hamming: int = 3):
 def _conv_key_table(files: list[str]):
     """Universe task: the distinct ``_conv_key`` of every conversation in
     ``files`` → Arrow table (doc_id)."""
-    import pyarrow as pa
-
     from ..stages.fold import _read_shard
 
     convs = pd.unique(np.asarray(_read_shard(files, ["conv_id"])["conv_id"].to_pylist(), object))
@@ -431,28 +421,20 @@ otok AS (
 CTX_TAIL_K = 4
 
 
-def context_tail_frame(group: pd.DataFrame, k: int = CTX_TAIL_K) -> pd.DataFrame:
+def context_tail_frame(group: pa.Table, k: int = CTX_TAIL_K) -> pd.DataFrame:
     """Per-conversation rendered tail for one co-located partition: the
     last ``k`` turns in restored order, rendered ``role: text`` and
     newline-joined — the context-window assembly an inference or
     eval-harness pipeline runs per conversation."""
-    from ..stages.fold import conv_boundaries
-
-    conv = np.asarray(group["conv_id"], dtype=object)
-    tidx = np.asarray(group["turn_idx"], dtype=np.int64)
-    role = np.asarray(group["role"], dtype=object)
-    text = np.asarray(group["text"], dtype=object)
-    order, bounds = conv_boundaries(conv, tidx)
-    cv, rl, tx = conv[order], role[order], text[order]
+    order, bounds, (conv_ids,) = conv_runs(group)
+    rl, tx = ordered_column(group, "role", order), ordered_column(group, "text", order)
     n = len(bounds) - 1
-    conv_ids = np.empty(n, dtype=object)
     n_turns = np.empty(n, dtype=np.int64)
     n_ctx = np.empty(n, dtype=np.int64)
     ctx = np.empty(n, dtype=object)
     for i in range(n):
         lo, hi = int(bounds[i]), int(bounds[i + 1])
         s = max(lo, hi - k)
-        conv_ids[i] = cv[lo]
         n_turns[i] = hi - lo
         n_ctx[i] = hi - s
         ctx[i] = "\n".join(
@@ -497,24 +479,17 @@ _ROLES = ("user", "assistant", "tool")  # role id = position: the output's role 
 _QUANTILE_PPMS = (500_000, 950_000)  # p50, p95
 
 
-def tool_gap_frame(group: pd.DataFrame) -> pd.DataFrame:
+def tool_gap_frame(group: pa.Table) -> pd.DataFrame:
     """(tool, rid, gap_us) for one conv_id range: one row per non-first turn
     in restored order, the gap to the turn before it, keyed by the later
     turn's tool family and role id (``_ROLES`` position)."""
-    from ..stages.fold import conv_boundaries
-
-    conv = np.asarray(group["conv_id"], dtype=object)
-    tidx = np.asarray(group["turn_idx"], dtype=np.int64)
-    order, bounds = conv_boundaries(conv, tidx)
-    role = np.asarray(group["role"], dtype=object)[order]
-    tool = np.asarray(group["tool"], dtype=object)[order]
-    ts = np.asarray(group["ts"], dtype="datetime64[us]").astype(np.int64)[order]
+    order, bounds, _ = conv_runs(group)
+    role, tool = ordered_column(group, "role", order), ordered_column(group, "tool", order)
+    ts = _ts_us(group, order)
     rid = pd.Index(_ROLES).get_indexer(role)
     if (rid < 0).any():
         raise KeyError(f"unknown roles {sorted(set(role[rid < 0]))}")
-    starts = np.zeros(len(ts), dtype=bool)
-    starts[bounds[:-1]] = True
-    same = ~starts[1:]
+    same = run_continues(bounds)
     return pd.DataFrame(
         {
             "tool": tool[1:][same],
@@ -524,15 +499,14 @@ def tool_gap_frame(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def tool_quantile_frame(group: pd.DataFrame) -> pd.DataFrame:
+def tool_quantile_frame(group: pa.Table) -> pd.DataFrame:
     """Exact p50/p95 per (tool, role id) of one tool range, in (tool, role
     id) order: the k-th smallest gap by ``np.partition``, k = ceil(q·n)
     in integer ppm arithmetic (the twin's rank rule)."""
-    tool = np.asarray(group["tool"], dtype=object)
-    codes, uniq = pd.factorize(tool, sort=True)
-    cell = codes.astype(np.int64) * len(_ROLES) + np.asarray(group["rid"], dtype=np.int64)
+    codes, uniq = key_codes(group["tool"])
+    cell = codes * len(_ROLES) + group["rid"].to_numpy().astype(np.int64)
     order = np.argsort(cell, kind="stable")
-    cell, gap = cell[order], np.asarray(group["gap_us"], dtype=np.int64)[order]
+    cell, gap = cell[order], group["gap_us"].to_numpy().astype(np.int64)[order]
     bounds = np.append(np.flatnonzero(np.diff(cell, prepend=-1)), len(cell))
     rows = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -623,17 +597,12 @@ def transcript_role_transitions(path: str):
     per-range partials (≤ 9 cells each) are summed by the caller."""
     import ray.data
 
-    from ..stages.fold import conv_boundaries, conv_exchange_refs
+    from ..stages.fold import conv_exchange_refs
 
-    def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        conv = np.asarray(group["conv_id"], dtype=object)
-        tidx = np.asarray(group["turn_idx"], dtype=np.int64)
-        role = np.asarray(group["role"], dtype=object)
-        order, bounds = conv_boundaries(conv, tidx)
-        cv, rl = conv[order], role[order]
-        starts = np.zeros(len(cv), dtype=bool)
-        starts[bounds[:-1]] = True
-        same = ~starts[1:]
+    def pairs(group: pa.Table) -> pd.DataFrame:
+        order, bounds, _ = conv_runs(group)
+        cv, rl = ordered_column(group, "conv_id", order), ordered_column(group, "role", order)
+        same = run_continues(bounds)
         df = pd.DataFrame(
             {
                 "prev_role": rl[:-1][same],
@@ -709,15 +678,14 @@ def transcript_turn_pack(path: str, window_tokens: int = PACK_WINDOW_TOKENS):
     global-cumsum-minus-segment-base — no per-conversation Python loop.
     Output is turn-cardinality but narrow (no text leaves the fold), in
     (conv_id, turn_idx) order."""
-    from ..stages.fold import conv_boundaries, conv_exchange
+    from ..stages.fold import conv_exchange
 
-    def pack(group: pd.DataFrame) -> pd.DataFrame:
-        conv = np.asarray(group["conv_id"], dtype=object)
-        tidx = np.asarray(group["turn_idx"], dtype=np.int64)
-        txt = np.asarray(group["text"], dtype=object)
-        ntok = np.fromiter((t.count(" ") + 1 for t in txt), dtype=np.int64, count=len(txt))
-        order, bounds = conv_boundaries(conv, tidx)
-        c, t, n = conv[order], tidx[order], ntok[order]
+    def pack(group: pa.Table) -> pd.DataFrame:
+        order, bounds, _ = conv_runs(group)
+        c = ordered_column(group, "conv_id", order)
+        t = ordered_column(group, "turn_idx", order).astype(np.int64)
+        txt = ordered_column(group, "text", order)
+        n = np.fromiter((s.count(" ") + 1 for s in txt), dtype=np.int64, count=len(txt))
         excl = np.cumsum(n) - n  # exclusive prefix sum, globally
         base = np.repeat(excl[bounds[:-1]], np.diff(bounds))
         cum = excl - base        # exclusive prefix sum within each conversation
@@ -878,7 +846,6 @@ def transcript_prompt_response(path: str):
     from ..stages.fold import conv_exchange_refs
 
     def proj(batch):
-        import pyarrow as pa
         import pyarrow.compute as pc
 
         return pa.table(
@@ -891,14 +858,11 @@ def transcript_prompt_response(path: str):
             }
         )
 
-    def fold(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["conv_id", "turn_idx"], kind="mergesort")
-        conv = g["conv_id"].to_numpy(object)
-        role = g["role"].to_numpy(object)
-        tool = g["tool"].to_numpy(object)
-        ln = g["tlen"].to_numpy(np.int64)
-        same_conv = conv[1:] == conv[:-1]
-        pair = same_conv & (role[:-1] == "user") & (role[1:] == "assistant")
+    def fold(group: pa.Table) -> pd.DataFrame:
+        order, bounds, _ = conv_runs(group)
+        role, tool = ordered_column(group, "role", order), ordered_column(group, "tool", order)
+        ln = ordered_column(group, "tlen", order).astype(np.int64)
+        pair = run_continues(bounds) & (role[:-1] == "user") & (role[1:] == "assistant")
         idx = np.flatnonzero(pair)
         u, a = ln[idx], ln[idx + 1]
         fam = tool[idx]

@@ -3,26 +3,28 @@
 Shape (SURVEY.md §7.1): pruned Parquet read → vectorized per-turn stages →
 conv_id co-location (``stages.fold.fold_conv_ranges``: the read's blocks
 range-partitioned by conv_id on ``key_exchange``, one fold task per
-range) → ordered per-conversation fold inside each range → (census only)
-embarrassingly-parallel downstream stages over household rows. Output
-rows come out in conv_id order.
+range, handed the range as one Arrow table) → ordered per-conversation
+fold inside each range (``stages.fold.fold_group_table``: the shared
+``conv_runs`` slicer, then the family's fold per conversation) →
+(census only) embarrassingly-parallel downstream stages over household
+rows. Output rows come out in conv_id order.
 
 Scale notes:
-- the read prunes both columns and rows (``filter=pc.field("tool") == f`` —
-  row-group predicate pushdown), so each family pipeline only moves its own
-  turns;
+- the read prunes both columns and rows: it reads (conv_id, turn_idx,
+  text) and filters ``tool == family`` by row-group predicate pushdown,
+  so each family pipeline moves only its own turns, without the constant
+  ``tool`` column;
 - nothing downstream of the fold shuffles again (persons/summary are
   per-row maps);
 - per-turn stages run as elastic tasks; their compiled regex banks are
   module state, compiled once per worker process.
 
 The all-family checkpointed extract (``state/lineage``) writes the same
-rows from one read and one exchange.
+rows from one read and one exchange, through the same slicer.
 """
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -33,16 +35,20 @@ from ..oracle import invoice as _invoice
 from ..oracle import layout as _layout
 from ..oracle import persons as _persons
 from ..oracle import table as _table
-from ..stages.fold import fold_conv_ranges, fold_conversations, fold_group_table, rows_to_table
+from ..stages.fold import (
+    fold_conv_ranges, fold_conversations, fold_group_table, ordered_column, rows_to_table,
+)
 from ..stages.invoice_extract import FIELD_PREFIX, InvoiceFieldExtractor
 from . import schemas
 
-TURN_COLUMNS = ["conv_id", "turn_idx", "text", "tool"]
+TURN_COLUMNS = ["conv_id", "turn_idx", "text"]
 
 
 def family_dataset(path: str, family: str):
     """Column- and row-pruned read of one family's turns (byte-derived
-    block count; small floor — regex-heavy per-turn kernels downstream)."""
+    block count; small floor — regex-heavy per-turn kernels downstream).
+    ``tool`` filters the rows but is not read: it would be one constant
+    string column through the exchange."""
     from ..runtime import read_parquet_sized
 
     return read_parquet_sized(
@@ -131,18 +137,18 @@ def extract_grid_crops(path: str):
 # invoice: vectorized RE2 bank → light header/LOCF fold
 
 
-def _fold_invoice_partition(group: pd.DataFrame) -> pa.Table:
+def _field_payloads(group: pa.Table, order) -> list[dict]:
+    """Each turn's non-null bank fields, in ``order``: its fold payload."""
+    names = list(_invoice.PATTERNS)
+    cols = [ordered_column(group, FIELD_PREFIX + name, order) for name in names]
+    return [{n: v for n, v in zip(names, vals) if v is not None} for vals in zip(*cols)]
+
+
+def _fold_invoice_partition(group: pa.Table) -> pa.Table:
     """Key-range fold over pre-extracted field columns (no regex work here):
     each turn's non-null fields are its payload for the header/LOCF fold."""
-    if group.empty:
-        return schemas.INVOICE_SCHEMA.empty_table()
-    fields = group[[FIELD_PREFIX + name for name in _invoice.PATTERNS]]
-    extracted = [
-        {name: v for name, v in zip(_invoice.PATTERNS, row) if isinstance(v, str)}
-        for row in fields.itertuples(index=False)
-    ]
     return fold_group_table(
-        group.assign(text=extracted), _invoice.rows_from_extracted, schemas.INVOICE_SCHEMA
+        group, _invoice.rows_from_extracted, schemas.INVOICE_SCHEMA, _field_payloads
     )
 
 

@@ -4,14 +4,21 @@ The reference's in-document parsing is a forward-only ordered scan with
 carried state (SURVEY.md §2.9, ST1-ST3). Every conversation fold
 co-locates its rows with ONE mechanism, ``key_exchange``: sample tasks
 pick key RANGES (not hash buckets), map tasks split each input by range,
-and one fold task per range runs the op's frame, so the outputs come out
-globally ordered by key and no trailing sort is needed. Inside a range,
-conversations are split out by a factorize + ``np.lexsort`` scan
-(``conv_boundaries``; same hot-loop shape as ``state/lineage.py
-fold_partition``), so per-conversation ordering is restored
-deterministically no matter how the input blocks arrived (the
+and one fold task per range hands the op's frame the range as ONE Arrow
+table, so the outputs come out globally ordered by key and no trailing
+sort is needed. A frame converts only the columns it reads.
+
+Inside a range or a checkpoint partition, every conversation fold gets its
+ordered runs from ONE slicer, ``conv_runs``: Arrow dictionary codes ranked
+by value (``key_codes``, so only distinct keys become Python objects),
+one ``np.lexsort`` by (keys…, turn_idx), and numpy run bounds. The per-
+family pipelines (``fold_group_table``), the checkpointed all-family
+extract (``state/lineage.py fold_partition``, keyed by tool then conv_id)
+and the transcript ops' frames share it, so per-conversation order is
+restored deterministically however the input blocks arrived (the
 synthesizer writes rows shuffled on purpose), and the Python cost is one
-call per range, not per conversation.
+call per range, not per conversation. ``fold_runs`` is the one
+per-conversation loop: fold, stamp conv_id, collect.
 
 ``key_exchange``'s inputs are Arrow tables or their object refs — a
 Dataset's blocks for the per-family pipelines (``fold_conversations``),
@@ -31,11 +38,10 @@ Arrow.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import partial
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -71,45 +77,93 @@ def rows_to_table(rows: list[dict], schema: pa.Schema) -> pa.Table:
     return pa.Table.from_pydict(cols, schema=schema)
 
 
-def conv_boundaries(conv: np.ndarray, tidx: np.ndarray):
-    """Value-ordered sort by (conv, turn_idx) + conversation boundaries.
+def key_codes(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 codes ranked by sorted distinct VALUE (null → -1) + the sorted
+    distinct values. Arrow dictionary-encodes the column, so only the
+    distinct values become Python objects; the per-row side stays integer.
+    Value-ranked, not arrival-ranked: a range folds to the same bytes
+    however its blocks arrived."""
+    enc = pc.dictionary_encode(col.combine_chunks())
+    uniq = np.asarray(enc.dictionary.to_pylist(), dtype=object)
+    perm = np.argsort(uniq, kind="stable")
+    rank = np.empty(len(perm) + 1, dtype=np.int64)
+    rank[perm] = np.arange(len(perm))
+    rank[-1] = -1  # a null's index -1 lands here, even with no non-null value
+    return rank[enc.indices.fill_null(-1).to_numpy(zero_copy_only=False)], uniq[perm]
 
-    Returns ``(order, bounds)``: apply ``order`` to any row-aligned array;
-    ``bounds[i]:bounds[i+1]`` is one conversation's ordered slice, and no
-    rows give ``bounds == [0]``, no conversations.
-    ``sort=True`` factorize so results are independent of arrival order.
-    """
-    conv_codes = pd.factorize(conv, sort=True)[0]
-    order = np.lexsort((tidx, conv_codes))
-    cc = conv_codes[order]
-    change = np.flatnonzero(np.diff(cc) != 0) + 1
-    bounds = np.concatenate(([0], change, [len(cc)])) if len(cc) else np.zeros(1, np.int64)
-    return order, bounds
+
+def conv_runs(tbl: pa.Table, keys: Sequence[str] = ("conv_id",)):
+    """The one conversation slicer: ``tbl``'s rows in (keys…, turn_idx)
+    order, sorted by value and stable (tied rows keep their arrival order;
+    null keys first), and the runs of equal keys.
+
+    Returns ``(order, bounds, heads)``: ``order`` permutes any row-aligned
+    array; ``bounds[i]:bounds[i+1]`` is run ``i`` of the ordered rows (no
+    rows give ``bounds == [0]``); ``heads[k][i]`` is key ``k``'s value on
+    run ``i`` (None for null)."""
+    codes, uniqs = zip(*(key_codes(tbl[k]) for k in keys))
+    tidx = tbl["turn_idx"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((tidx, *reversed(codes)))
+    n = len(order)
+    edge = np.zeros(n + 1, dtype=bool)  # edge[i]: a run starts at ordered row i
+    edge[[0, -1]] = True  # row n closes the last run; no rows, no run
+    for c in codes:
+        c = c[order]
+        edge[1:n] |= c[1:] != c[:-1]
+    bounds = np.flatnonzero(edge)
+    starts = order[bounds[:-1]]
+    heads = [np.append(u, None)[c[starts]] for c, u in zip(codes, uniqs)]
+    return order, bounds, heads
 
 
-def fold_group_table(group: pd.DataFrame, fold_fn: FoldFn, schema: pa.Schema) -> pa.Table:
-    """Fold every conversation of one co-located key range."""
-    if group.empty:
-        return schema.empty_table()
-    conv = group["conv_id"].to_numpy(dtype=object)
-    tidx = group["turn_idx"].to_numpy()
-    texts = group["text"].to_numpy(dtype=object)
-    if pd.isna(texts).any():
-        texts = np.where(pd.isna(texts), "", texts)  # null text ≡ empty line
-    order, bounds = conv_boundaries(conv, tidx)
-    cv, ti, tx = conv[order], tidx[order], texts[order]
+def run_continues(bounds: np.ndarray) -> np.ndarray:
+    """``out[i]``: ordered row ``i + 1`` is in the same run as row ``i``."""
+    out = np.ones(max(int(bounds[-1]) - 1, 0), dtype=bool)
+    out[bounds[1:-1] - 1] = False
+    return out
+
+
+def ordered_column(tbl: pa.Table, name: str, order: np.ndarray) -> np.ndarray:
+    """One column of ``tbl`` as numpy (strings as Python objects), in
+    ``order``."""
+    return tbl[name].to_numpy(zero_copy_only=False)[order]
+
+
+def turn_texts(tbl: pa.Table, order: np.ndarray) -> list[str]:
+    """The ``text`` column in ``order``; a null text is an empty line."""
+    text = tbl["text"]
+    if text.null_count:
+        text = pc.fill_null(text, "")
+    return text.to_numpy(zero_copy_only=False)[order].tolist()
+
+
+def fold_runs(fold_fn: FoldFn, payloads: list, tidx: list[int], bounds: list[int],
+              conv_ids) -> list[dict]:
+    """``fold_fn`` once per conversation run ``bounds[i]:bounds[i+1]`` of the
+    ordered turns, each output row stamped with the run's conversation →
+    the rows, in run order."""
     rows: list[dict] = []
-    for i in range(len(bounds) - 1):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        conv_rows = fold_fn(list(tx[lo:hi]), [int(x) for x in ti[lo:hi]])
-        cid = cv[lo]
+    for cid, lo, hi in zip(conv_ids, bounds[:-1], bounds[1:]):
+        conv_rows = fold_fn(payloads[lo:hi], tidx[lo:hi])
         for r in conv_rows:
             r["conv_id"] = cid
         rows.extend(conv_rows)
+    return rows
+
+
+def fold_group_table(group: pa.Table, fold_fn: FoldFn, schema: pa.Schema,
+                     payloads=turn_texts) -> pa.Table:
+    """Fold every conversation of one co-located key range. Each turn's fold
+    input is ``payloads(group, order)``: its text by default."""
+    if not group.num_rows:  # an empty range may carry no columns at all
+        return schema.empty_table()
+    order, bounds, (conv_ids,) = conv_runs(group)
+    tidx = ordered_column(group, "turn_idx", order).tolist()
+    rows = fold_runs(fold_fn, payloads(group, order), tidx, bounds.tolist(), conv_ids)
     return rows_to_table(rows, schema)
 
 
-def fold_conv_ranges(ds, frame_fn: Callable[[pd.DataFrame], pa.Table]):
+def fold_conv_ranges(ds, frame_fn: Callable[[pa.Table], pa.Table]):
     """``key_exchange`` of a Dataset's blocks by conv_id: ``frame_fn`` once
     per conv_id range → Dataset of its tables, in conv_id order."""
     import ray.data
@@ -179,10 +233,12 @@ def _key_map(load, shard, key: str, bounds: np.ndarray):
 
 
 def _key_fold(frame_fn, *parts: pa.Table) -> pa.Table:
-    """Fold task: ``frame_fn`` once over one whole key range. A frame that
-    returns an Arrow table (a fixed family schema) is passed through."""
+    """Fold task: ``frame_fn`` once over one whole key range, given as the
+    concatenated Arrow table (no pandas conversion here: a frame converts
+    what it reads). A frame that returns an Arrow table (a fixed family
+    schema) is passed through."""
     group = pa.concat_tables(parts, promote_options="permissive") if parts else pa.table({})
-    out = frame_fn(group.to_pandas())
+    out = frame_fn(group)
     return out if isinstance(out, pa.Table) else pa.Table.from_pandas(out, preserve_index=False)
 
 
@@ -192,7 +248,7 @@ def _as_table(shard, _key_only: bool) -> pa.Table:
 
 def key_exchange(shards: list, key: str, frame_fn, load=_as_table, nbytes: int | None = None):
     """Co-locate every row of ``shards`` by ``key`` and run ``frame_fn``
-    (pandas frame -> pandas frame or Arrow table) once per key range → the
+    (Arrow table -> pandas frame or Arrow table) once per key range → the
     fold outputs' object refs (Arrow tables), in key-range order. Ray tasks,
     no Ray Data barrier:
 

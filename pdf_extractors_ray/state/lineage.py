@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 import pandas as pd
@@ -47,7 +47,7 @@ from ..oracle import invoice as _invoice
 from ..oracle import layout as _layout
 from ..oracle import table as _table
 from ..pipelines import schemas
-from ..stages.fold import rows_to_table
+from ..stages.fold import conv_runs, fold_runs, ordered_column, rows_to_table, turn_texts
 
 FOLDS = {
     "catalog": (_catalog.extract_catalog_conv, schemas.CATALOG_SCHEMA),
@@ -123,13 +123,9 @@ def derive_n_parts(files: list[str], target_part_bytes: int = _TARGET_PART_BYTES
     total = sum(os.path.getsize(f) for f in files)
     by_bytes = max(1, -(-total // target_part_bytes))
     if min_parts is None:
-        try:
-            import ray
+        from ..runtime import _cluster_cpus
 
-            cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        except Exception:  # noqa: BLE001
-            cpus = 8
-        min_parts = 2 * cpus
+        min_parts = 2 * _cluster_cpus()
     return max(min_parts, int(by_bytes))
 
 
@@ -220,65 +216,34 @@ def read_output(out_dir: str):
 def fold_partition(part: pa.Table, families: dict | None = None, derive_census: bool = True):
     """Fold every conversation in one co-located partition, all families.
 
-    Hot loop of the production path: ONE sort via integer-factorized
-    ``np.lexsort`` and numpy boundary slicing — no per-conversation pandas
-    ``groupby`` (which costs ~0.2 ms per conv, dominating at 10^5+ convs
-    per run). Yields ``(family, arrow_table, n_turns, n_convs)``.
+    Hot loop of the production path: ONE value-ordered sort by (tool,
+    conv_id, turn_idx) (``stages.fold.conv_runs``) and numpy run slicing —
+    no per-conversation pandas ``groupby`` (which costs ~0.2 ms per conv,
+    dominating at 10^5+ convs per run). A family's conversations are one
+    block of runs; turns whose tool is null or no family are skipped.
+    Yields ``(family, arrow_table, n_turns, n_convs)``.
 
     ``families=`` and ``derive_census=`` have no caller in the package:
     they stay because ``perfbench/replay.py`` times each family's fold
     (and the census kinship stage) separately through them.
     """
     families = families or FOLDS
-
-    def sorted_codes(col: "pa.ChunkedArray"):
-        """Integer codes ranked by sorted distinct VALUE + the sorted
-        uniques — ``pd.factorize(sort=True)`` semantics without ever
-        materializing a per-ROW Python-object column (r3 #8 DRAM diet:
-        only the ~n_convs DISTINCT strings become Python objects; the
-        per-row side stays int32 Arrow indices end-to-end). Value-sorted
-        codes matter: recomputed partitions must be byte-identical
-        regardless of block arrival order."""
-        enc = pc.dictionary_encode(col.combine_chunks())
-        uniq = np.asarray(enc.dictionary.to_pylist(), dtype=object)
-        # nulls -> code -1 (pd.factorize's convention); without the
-        # fill_null the float-NaN indices would astype to a garbage
-        # int64 and index rank out of range
-        idx = enc.indices.fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
-        perm = np.argsort(uniq, kind="stable")
-        rank = np.empty(len(perm), dtype=np.int64)
-        rank[perm] = np.arange(len(perm))
-        return np.where(idx >= 0, rank[idx], np.int64(-1)), uniq[perm]
-
-    tidx = part["turn_idx"].to_numpy(zero_copy_only=False)
-    texts = np.asarray(part["text"].to_pandas(), dtype=object)
-    if pd.isna(texts).any():
-        texts = np.where(pd.isna(texts), "", texts)  # null text ≡ empty line
-    conv_codes, conv_uniq = sorted_codes(part["conv_id"])
-    tool_codes, tool_uniq = sorted_codes(part["tool"])
-    order = np.lexsort((tidx, conv_codes, tool_codes))
-    tc, cc = tool_codes[order], conv_codes[order]
-    ti, tx = tidx[order], texts[order]
-    change = np.flatnonzero((np.diff(tc) != 0) | (np.diff(cc) != 0)) + 1
-    bounds = np.concatenate(([0], change, [len(tc)]))
-    tx, ti = tx.tolist(), ti.tolist()  # the same str objects; Python ints
+    order, bounds, (tools, convs) = conv_runs(part, ("tool", "conv_id"))
+    tx = turn_texts(part, order)
+    ti = ordered_column(part, "turn_idx", order).tolist()
+    bounds = bounds.tolist()
 
     rows_by_family: dict[str, list] = {}
     stats: dict[str, list[int]] = {}
-    for i in range(len(bounds) - 1):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        fam = tool_uniq[tc[lo]]
-        if fam not in families:
-            continue
-        fold_fn = families[fam][0]
-        conv_rows = fold_fn(tx[lo:hi], ti[lo:hi])
-        cid = conv_uniq[cc[lo]] if cc[lo] >= 0 else None  # -1 = null conv_id
-        for r in conv_rows:
-            r["conv_id"] = cid
-        rows_by_family.setdefault(fam, []).extend(conv_rows)
-        st = stats.setdefault(fam, [0, 0])
-        st[0] += hi - lo
-        st[1] += 1
+    lo = 0
+    for fam, runs in groupby(tools):
+        hi = lo + sum(1 for _ in runs)
+        if fam in families:
+            rows_by_family[fam] = fold_runs(
+                families[fam][0], tx, ti, bounds[lo:hi + 1], convs[lo:hi]
+            )
+            stats[fam] = [bounds[hi] - bounds[lo], hi - lo]
+        lo = hi
     # census downstream stages run HERE, on the already co-located partition:
     # summary + per-household kinship need no further shuffle or pass
     # (roman-census stage B is household-local, SURVEY.md §2.4 J1-J3)

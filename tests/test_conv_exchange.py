@@ -220,7 +220,7 @@ def test_key_exchange_orders_integer_keys_from_table_refs(ray_session, monkeypat
     def sums(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("k", as_index=False, sort=True)["v"].sum()
 
-    refs = fold.key_exchange([ray.put(s) for s in shards], "k", sums)
+    refs = fold.key_exchange([ray.put(s) for s in shards], "k", lambda t: sums(t.to_pandas()))
     assert len(refs) == (1 if n == 1 else min(n, len(np.unique(pa.concat_tables(shards)["k"]))))
     got = pa.concat_tables(ray.get(refs)).to_pandas()
     want = sums(pa.concat_tables(shards).to_pandas())

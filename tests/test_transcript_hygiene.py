@@ -3,6 +3,7 @@
 import duckdb
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from pdf_extractors_ray.ops import transcript as tr
@@ -25,6 +26,11 @@ def _frame(rows):
     return df
 
 
+def _range(df):
+    """A frame as the Arrow range ``key_exchange`` hands a fold."""
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
 def test_hygiene_digest_is_order_sensitive():
     """Transposing two turns' indices flips the conversation digest —
     the property that makes the hash a check of ordering restore, not
@@ -35,8 +41,8 @@ def test_hygiene_digest_is_order_sensitive():
     swapped = _frame(
         [("c", 2, "user", 10), ("c", 1, "assistant", 20), ("c", 0, "tool", 30)]
     )
-    h1 = tr.conv_hygiene_frame(base)
-    h2 = tr.conv_hygiene_frame(swapped)
+    h1 = tr.conv_hygiene_frame(_range(base))
+    h2 = tr.conv_hygiene_frame(_range(swapped))
     assert h1["role_seq_hash"][0] != h2["role_seq_hash"][0]
     # membership-only stats agree
     for c in ("n_turns", "n_tool_turns", "ts_span_us"):
@@ -55,10 +61,10 @@ def test_hygiene_arrival_order_invariance():
             rows.append((f"c{ci}", ti, ["user", "assistant", "tool"][(ci + ti) % 3],
                          100 * ci + ti))
     df = _frame(rows)
-    want = tr.conv_hygiene_frame(df).sort_values("conv_id").reset_index(drop=True)
+    want = tr.conv_hygiene_frame(_range(df)).sort_values("conv_id").reset_index(drop=True)
     for _ in range(5):
         got = (
-            tr.conv_hygiene_frame(df.sample(frac=1, random_state=rng).reset_index(drop=True))
+            tr.conv_hygiene_frame(_range(df.sample(frac=1, random_state=rng)))
             .sort_values("conv_id")
             .reset_index(drop=True)
         )
@@ -142,7 +148,7 @@ def test_context_tails_semantics():
             "text": ["f", "a", "c", "e", "b", "d", "solo"],
         }
     )
-    got = tr.context_tail_frame(df).set_index("conv_id")
+    got = tr.context_tail_frame(_range(df)).set_index("conv_id")
     assert got.loc["c", "context"] == "user: c\nuser: d\ntool: e\nassistant: f"
     assert got.loc["c", "n_ctx"] == 4 and got.loc["c", "n_turns"] == 6
     assert got.loc["d", "context"] == "user: solo" and got.loc["d", "n_ctx"] == 1
