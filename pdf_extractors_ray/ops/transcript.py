@@ -502,8 +502,10 @@ def tool_gap_frame(group: pa.Table) -> pd.DataFrame:
 def tool_quantile_frame(group: pa.Table) -> pd.DataFrame:
     """Exact p50/p95 per (tool, role id) of one tool range, in (tool, role
     id) order: the k-th smallest gap by ``np.partition``, k = ceil(q·n)
-    in integer ppm arithmetic (the twin's rank rule)."""
+    in integer ppm arithmetic (the twin's rank rule). A null tool's cells
+    come first, labelled null."""
     codes, uniq = key_codes(group["tool"])
+    uniq = np.append(uniq, None)  # a null's code -1 lands here
     cell = codes * len(_ROLES) + group["rid"].to_numpy().astype(np.int64)
     order = np.argsort(cell, kind="stable")
     cell, gap = cell[order], group["gap_us"].to_numpy().astype(np.int64)[order]
@@ -563,19 +565,12 @@ r AS (
            ROW_NUMBER() OVER (PARTITION BY tool, role ORDER BY gap) AS rn,
            COUNT(*) OVER (PARTITION BY tool, role) AS n
     FROM g
-),
-p50 AS (
-    SELECT tool, role, MIN(n) AS n, MIN(gap) AS p50_us FROM r
-    WHERE rn = (500000 * n + 999999) // 1000000 GROUP BY tool, role
-),
-p95 AS (
-    SELECT tool, role, MIN(gap) AS p95_us FROM r
-    WHERE rn = (950000 * n + 999999) // 1000000 GROUP BY tool, role
 )
-SELECT p50.tool, p50.role, CAST(p50.n AS BIGINT) AS n,
-       CAST(p50.p50_us AS BIGINT) AS p50_us, CAST(p95.p95_us AS BIGINT) AS p95_us
-FROM p50 JOIN p95 USING (tool, role)
-ORDER BY p50.tool, p50.role
+SELECT tool, role, CAST(MIN(n) AS BIGINT) AS n,
+       CAST(MIN(gap) FILTER (WHERE rn = (500000 * n + 999999) // 1000000) AS BIGINT) AS p50_us,
+       CAST(MIN(gap) FILTER (WHERE rn = (950000 * n + 999999) // 1000000) AS BIGINT) AS p95_us
+FROM r GROUP BY tool, role
+ORDER BY tool, role
 """
 
 

@@ -89,8 +89,8 @@ class CatalogMachine:
     :111-112) and the record context ``(manufacturer, year, model, engine,
     oils)``. ``feed`` consumes an ordered slice of lines (one-line
     lookahead supplied for the final line), so the same machine drives the
-    whole-conversation fold AND the salted-window head/tail decomposition
-    (stages/salted_catalog.py).
+    whole-conversation fold AND the salted windows' heads and tails
+    (stages/salted.py).
     """
 
     def __init__(self, started: bool = False, valid: bool = False):

@@ -152,14 +152,18 @@ def _fold_invoice_partition(group: pa.Table) -> pa.Table:
     )
 
 
-def extract_invoice(path: str):
-    # elastic tasks, not an actor pool: the extractor's only state is the
-    # module-level RE2 pattern bank, so a pool buys nothing and pays its
-    # spawn cost per query (and a fixed cap starves a wider cluster)
-    ds = family_dataset(path, "invoice").map_batches(
+def invoice_field_dataset(path: str):
+    """The invoice turns with their RE2 bank fields. Elastic tasks, not an
+    actor pool: the extractor's only state is the module-level pattern
+    bank, so a pool buys nothing and pays its spawn cost per query (and a
+    fixed cap starves a wider cluster)."""
+    return family_dataset(path, "invoice").map_batches(
         InvoiceFieldExtractor(), batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
     )
-    return fold_conv_ranges(ds, _fold_invoice_partition)
+
+
+def extract_invoice(path: str):
+    return fold_conv_ranges(invoice_field_dataset(path), _fold_invoice_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +192,8 @@ class PersonsExtractor:
     """Stage-B kinship resolution, one household at a time.
 
     Households are independent (within-group joins only, SURVEY.md §2.4),
-    so this is a plain ``map_batches`` stage — NO shuffle. The compiled
-    regex bank lives in module state, loaded once per actor.
+    so this is a plain per-block map — NO shuffle. The compiled regex bank
+    lives in module state, loaded once per worker process.
     """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -201,34 +205,34 @@ class PersonsExtractor:
         return rows_to_table(rows, schemas.PERSONS_SCHEMA)
 
 
-_SUMMARY_BATCH = 512
-_PERSONS_BATCH = 256  # small, so the kinship work fans out across the cluster
+def _map_block(fn, block: pa.Table) -> pa.Table:
+    return fn(block)
 
 
-def _map_households(households, fn, batch_size: int, schema: pa.Schema):
-    """Per-household ``map_batches``. Ray Data never calls a map on a
-    zero-row block, so no households give the stage's typed empty table
-    (the fold's Dataset knows its row count without executing)."""
+def _map_households(households, fn):
+    """``fn`` once per household block, one Ray task each → Dataset of the
+    outputs in block order, so rows keep the fold's conv_id order. The
+    fold always yields at least one (possibly empty) typed block."""
+    import ray
     import ray.data
 
-    if households.count() == 0:
-        return ray.data.from_arrow(schema.empty_table())
-    return households.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+    task = ray.remote(_map_block)
+    return ray.data.from_arrow_refs([task.remote(fn, ref) for ref in households.to_arrow_refs()])
 
 
 def extract_census_summary(path: str, households=None):
-    """Stateless elastic tasks (not a fixed actor pool): the stage holds no
-    loaded state — workers reuse module imports — and a fixed pool size
-    would cap scaling below the cluster width."""
+    """Stateless tasks (not a fixed actor pool): the stage holds no loaded
+    state — workers reuse module imports — and a fixed pool size would cap
+    scaling below the cluster width."""
     ds = households if households is not None else extract_census_households(path)
-    return _map_households(ds, CensusSummarizer(), _SUMMARY_BATCH, schemas.CENSUS_SUMMARY_SCHEMA)
+    return _map_households(ds, CensusSummarizer())
 
 
 def extract_census_persons(path: str, households=None):
-    """Stateless elastic tasks; the compiled regex bank is module state,
-    compiled once per worker process (not per batch)."""
+    """Stateless tasks; the compiled regex bank is module state, compiled
+    once per worker process (not per block)."""
     ds = households if households is not None else extract_census_households(path)
-    return _map_households(ds, PersonsExtractor(), _PERSONS_BATCH, schemas.PERSONS_SCHEMA)
+    return _map_households(ds, PersonsExtractor())
 
 
 # ---------------------------------------------------------------------------

@@ -666,7 +666,7 @@ def _custbal_antijoin_query(sf_dir: str):
 def _invoice_query(sf_dir: str):
     """Invoice fold slot. Forced gates (each raises on divergence so the
     driver records a hard error): plain grouped fold vs the salted
-    hot-conversation variant (M27 precedence + cross-window LOCF) checked
+    window variant (M27 precedence + cross-window LOCF) checked
     byte-equal; ``transcript_prompt_response`` and
     ``transcript_extract_rate`` (the PRODUCTION RE2 invoice bank's
     per-(family, day) success telemetry) hash-checked against their
@@ -714,7 +714,7 @@ def _catalog_query(sf_dir: str):
     ordered-``string_agg`` twin over the same Parquet files
     (``oracle_sql()['extract_catalog']``)."""
     from ..ops import transcript as _tr
-    from ..stages.salted_catalog import extract_catalog_salted
+    from ..stages.salted import extract_catalog_salted
 
     path = transcripts_path_for_sf(sf_dir)
     plain = extract.extract_catalog(path)

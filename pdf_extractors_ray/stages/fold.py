@@ -188,12 +188,13 @@ def _read_shard(files: list[str], columns: list[str]) -> pa.Table:
 
 
 def _key_sample(load, shard, key: str) -> tuple[list, int, int]:
-    """Sample task: a strided sample of the shard's sorted distinct keys, the
-    number of distinct keys it stands for, and the loaded table's bytes."""
+    """Sample task: a strided sample of the shard's sorted distinct non-null
+    keys, the number of them it stands for, and the loaded table's bytes.
+    Null keys need no boundary: they go to the first range."""
     tbl = load(shard, True)
     if not tbl.num_rows:  # an empty block may carry no columns at all
         return [], 0, tbl.nbytes
-    uniq = pc.unique(tbl[key].combine_chunks())
+    uniq = pc.drop_null(pc.unique(tbl[key].combine_chunks()))
     uniq = uniq.take(pc.array_sort_indices(uniq))
     step = max(1, len(uniq) // _SAMPLE_PER_SHARD)
     return uniq.take(pa.array(np.arange(0, len(uniq), step))).to_pylist(), len(uniq), tbl.nbytes
@@ -215,8 +216,9 @@ def _range_bounds(samples: list[tuple[list, int]], n_groups: int) -> np.ndarray:
 
 def _key_map(load, shard, key: str, bounds: np.ndarray):
     """Map task: load the shard and split its rows into one contiguous table
-    per key range. ``searchsorted`` runs once per DISTINCT key of the shard,
-    not per row."""
+    per key range; null keys go to the first range, where ``conv_runs``
+    orders them first. ``searchsorted`` runs once per DISTINCT key of the
+    shard, not per row."""
     tbl = load(shard, False)
     if not tbl.num_rows:
         return [tbl] * (len(bounds) + 1) if len(bounds) else tbl
@@ -224,7 +226,8 @@ def _key_map(load, shard, key: str, bounds: np.ndarray):
     uniq = enc.dictionary.to_numpy(zero_copy_only=False)
     if uniq.dtype != object:  # numeric keys: compare as numbers, not objects
         bounds = np.asarray(bounds.tolist(), dtype=uniq.dtype)
-    gid = np.searchsorted(bounds, uniq, side="right")[enc.indices.to_numpy(zero_copy_only=False)]
+    gid = np.append(np.searchsorted(bounds, uniq, side="right"), 0)  # a null's index → 0
+    gid = gid[enc.indices.fill_null(len(uniq)).to_numpy(zero_copy_only=False)]
     order = np.argsort(gid, kind="stable")
     tbl = tbl.take(pa.array(order)).combine_chunks()
     cuts = np.searchsorted(gid[order], np.arange(len(bounds) + 2))

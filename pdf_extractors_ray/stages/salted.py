@@ -1,158 +1,248 @@
-"""Salted splits for hot conversations (long-transcript skew).
+"""Salted splits for long conversations (transcript-length skew).
 
-A plain ``groupby(conv_id)`` puts an entire conversation in one task; a
-conversation with 100x the median turns becomes a straggler. For folds
-whose state COMPOSES across windows (the invoice fold: header broadcast +
-LOCF — SURVEY.md §4.2 "salted splits"), hot conversations are split into
-order-preserving windows ``salt = turn_idx // W``, folded per window in
-parallel, then stitched per conversation in a second, much smaller pass:
+A plain fold co-locates a whole conversation in one fold task, so a
+conversation with 20x the median turns is a straggler. The salted variants
+cut EVERY conversation into order-preserving windows ``salt = turn_idx //
+W``, fold the windows in parallel and stitch each conversation's window
+partials in order. Both steps run on ``stages/fold.key_exchange``, chained
+on Ray tasks like the dedup ops (the chained range repartition of Hyper
+Dimension Shuffle), with no Ray Data groupby, sort or broadcast:
 
-    turns ──groupby (conv_id, salt)──> window partials ──groupby conv_id──> rows
+    turns ──key_exchange by window──> window partials ──key_exchange by conv_id──> rows
 
-Hot-conv detection is an explicit pre-pass: per-batch partial conv counts →
-tiny groupby → driver collects the hot set → broadcast into the salting
-stage. Cold conversations keep ``salt = 0`` (single window — identical to
-the unsalted path); only flagged conversations fan out.
+The window key ``win`` (conv_id and salt in one string) is made map-side
+from each row alone. A conversation of at most W turns is one window, the
+unsalted path; a long conversation's windows are distinct keys, so they
+spread over the ranges. The stitch's rows come out in conv_id order, like
+the plain folds', and equal them row for row (tested).
 
-The catalog/census folds carry non-composable state (lookahead, anchor
-record under construction) — they stay unsalted by design; this module
-documents that partitioning assumption (SURVEY.md §7.5 #3).
+- invoice: the fold's state is the conversation header (its first turn)
+  and the last Delivery date. A window keeps its first turn (the header
+  candidate) and every turn that extracts a field; the stitch runs the
+  plain fold over what is left.
+- catalog: the line state machine carries a one-line lookahead, two gates
+  (page banner seen, ``Oil`` seen) and a record context. A window is
+  decomposed once for every entry gate state into a head, which the stitch
+  replays through the real machine, and a tail from the first firing
+  manufacturer/year pair on, whose rows and exit state the window frame
+  computes (``_catalog_window``). The stitch replays the windows in order,
+  so it knows each window's exact entry gates and the line after it, and
+  picks that decomposition. No row crosses windows, so ``turn_idx`` may
+  have gaps.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-import pyarrow as pa
+import json
+from functools import partial
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..oracle import catalog as _catalog
 from ..oracle import invoice as _invoice
 from ..pipelines import schemas
-from ..stages.fold import rows_to_table
-from ..stages.invoice_extract import FIELD_PREFIX, InvoiceFieldExtractor
+from ..stages.fold import (
+    conv_runs, fold_group_table, key_exchange, ordered_column, rows_to_table, turn_texts,
+)
+from ..stages.invoice_extract import FIELD_PREFIX
 
-_HEADER_MARK = "\x00header"
-
-
-def hot_conversations(ds, threshold: int) -> set[str]:
-    """conv_ids with more than ``threshold`` turns.
-
-    Partial per-batch counts → hash-bucketed combine (``bucketed_group_agg``
-    — conv_ids are ~all-distinct keys, exactly the case where Ray's
-    per-group hash-aggregate overhead bites; measured 4.1 s → 0.5 s at
-    sf0.01). Only the (rare) hot convs reach the driver."""
-    from ..ops.common import bucketed_group_agg
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.groupby("conv_id", as_index=False, sort=False).size().rename(columns={"size": "n"})
-
-    counts = bucketed_group_agg(
-        ds.map_batches(partial, batch_format="pandas"), ["conv_id"], {"n": "sum"}
-    )
-    hot = counts.map_batches(
-        lambda b: b[b["n"] > int(threshold)][["conv_id"]], batch_format="pandas"
-    ).to_pandas()
-    return set(hot["conv_id"])
+_FIELDS = [FIELD_PREFIX + f for f in _invoice.PATTERNS]
+_CATALOG_WINDOW_SCHEMA = pa.schema(
+    [pa.field("conv_id", pa.string()), pa.field("turn_idx", pa.int64()),
+     pa.field("payload", pa.string())]
+)
 
 
-def extract_invoice_salted(path: str, hot_threshold: int = 64, window: int = 32):
-    """Invoice extraction with salted splits; output ≡ plain extract_invoice."""
-    import ray
+def _window_shard(tbl: pa.Table, key_only: bool, window: int) -> pa.Table:
+    """Map side of the window exchange: ``tbl`` with its ``salt`` and window
+    key ``win`` (only ``win`` for a sample)."""
+    if not tbl.num_rows:  # an empty block may carry no columns at all
+        return tbl
+    salt = pc.divide(tbl["turn_idx"].cast(pa.int64()), window)  # integer division
+    win = pc.binary_join_element_wise(tbl["conv_id"], salt.cast(pa.string()), "\x00")
+    if key_only:
+        return pa.table({"win": win})
+    return tbl.append_column("salt", salt).append_column("win", win)
 
+
+def _salted(ds, window: int, window_frame, stitch_frame):
+    """The two chained exchanges: ``window_frame`` once per window-key range,
+    then ``stitch_frame`` once per conv_id range over the window partials →
+    Dataset of the stitched tables, in conv_id order."""
+    import ray.data
+
+    load = partial(_window_shard, window=window)
+    partials = key_exchange(ds.to_arrow_refs(), "win", window_frame, load)
+    return ray.data.from_arrow_refs(key_exchange(partials, "conv_id", stitch_frame))
+
+
+# ---------------------------------------------------------------------------
+# invoice: header + LOCF over the turns that matter
+
+
+def _invoice_window(group: pa.Table) -> pa.Table:
+    """Window frame: each window's first turn (the conversation header when
+    the window is the conversation's first) and every turn that extracts a
+    field, in window order. A dropped turn extracts nothing and is not a
+    header, so the plain fold would skip it too."""
+    if not group.num_rows:
+        return group
+    order, bounds, _ = conv_runs(group, ("conv_id", "salt"))
+    hit = np.zeros(group.num_rows, dtype=bool)
+    for f in _FIELDS:
+        hit |= pc.is_valid(group[f]).to_numpy(zero_copy_only=False)
+    keep = hit[order]
+    keep[bounds[:-1]] = True
+    return group.select(["conv_id", "turn_idx", *_FIELDS]).take(order[keep])
+
+
+def extract_invoice_salted(path: str, window: int = 32):
+    """Invoice extraction with salted splits; output ≡ ``extract_invoice``,
+    row for row (tested)."""
+    from ..pipelines.extract import _fold_invoice_partition, invoice_field_dataset
+
+    return _salted(invoice_field_dataset(path), window, _invoice_window, _fold_invoice_partition)
+
+
+# ---------------------------------------------------------------------------
+# catalog: per-entry-gate head/tail decompositions, replayed in order
+
+_GATES = ((False, False), (False, True), (True, False), (True, True))  # index 2·started + valid
+_A_YEAR = "2000"  # of the line after a window the machine only asks: is it a year?
+
+
+def _gates_open_at(lines: list[str], started: bool, valid: bool) -> tuple[int, bool, bool]:
+    """The first line the machine reads with both gates open when it enters
+    ``lines`` with ``(started, valid)`` (``len(lines)`` if none), and the
+    gates there. The lines before it move only the gates: a closed gate
+    skips the rule body, and the record context is untouched (and empty)
+    until the ``Oil`` gate first opens."""
+    for i, raw in enumerate(lines):
+        if started and valid:
+            return i, True, True
+        line = raw.strip()
+        if not started:
+            started = line == _catalog.BANNER
+        elif line == "Oil":
+            valid = True
+    return len(lines), started, valid
+
+
+def _may_fire(raw: str) -> bool:
+    """The manufacturer rule fires on this line if the next one is a year."""
+    line = raw.strip()
+    return not _catalog.is_boilerplate_line(line) and bool(_catalog.RE_MANUFACTURER.match(line))
+
+
+def _first_pair(lines: list[str], la: str, lo: int) -> int:
+    """Index of the first line at or after ``lo`` where the manufacturer rule
+    fires with both gates open (``la`` follows the last line), else -1."""
+    n = len(lines)
+    for i in range(lo, n):
+        nxt = lines[i + 1].strip() if i + 1 < n else la
+        if _may_fire(lines[i]) and _catalog.RE_YEAR.match(nxt):
+            return i
+    return -1
+
+
+def _catalog_window(lines: list[str], idxs: list[int]) -> dict:
+    """One non-empty window, decomposed once per entry gate state into
+    ``[lo, hi, tail, started, valid]``: the head ``lines[lo:hi]`` runs from
+    gates ``(started, valid)``, then ``tails[tail]`` (if not None) from
+    ``hi`` on. Where the last line may fire the manufacturer rule, four
+    more follow for a year after the window.
+
+    From a firing manufacturer/year pair on, the machine's work does not
+    depend on the record context it carries: the manufacturer rule resets
+    model, engine and oils, and the pair's year line overwrites the year
+    before any row can read it. Only the pair's own flush reads the old
+    context, so the stitch replays it. Each distinct split's tail is folded
+    here once: its rows and its exit state. A tail whose fold raises is
+    left in its head instead: the entry state may never occur, and if it
+    does, the stitch's replay raises as the plain fold would. The payload
+    carries only the lines some head reads."""
+    decs, tails = [], {}
+    for la in ("", _A_YEAR) if _may_fire(lines[-1]) else ("",):
+        for started, valid in _GATES:
+            lo, started, valid = _gates_open_at(lines, started, valid)
+            split = _first_pair(lines, la, lo)
+            key = f"{split}{la}"
+            if split >= 0 and key not in tails:
+                tails[key] = _catalog_tail(lines[split:], idxs[split:], la)
+            if tails.get(key) is None:  # no pair fires, or its tail's fold raises
+                split, key = len(lines), None
+            decs.append([lo, split, key, started, valid])
+    heads = [(lo, hi) for lo, hi, *_ in decs if lo < hi]
+    at = min((lo for lo, _ in heads), default=0)
+    end = max((hi for _, hi in heads), default=0)
+    return {"lines": lines[at:end], "idxs": idxs[at:end], "at": at, "first": lines[0].strip(),
+            "last": idxs[-1], "decs": decs,
+            "tails": {k: t for k, t in tails.items() if t is not None}}
+
+
+def _catalog_tail(lines: list[str], idxs: list[int], la: str) -> dict | None:
+    """The machine from a firing pair on: the pair's line and turn, the
+    rows, the exit state; None where the machine raises (a TypeError on
+    an "(Electric/Gas)" line that follows a model but no engine)."""
+    machine = _catalog.CatalogMachine(started=True, valid=True)
+    try:
+        machine.feed(lines, idxs, lookahead=la)
+    except TypeError:
+        return None
+    rows = [[r[c] for c in _catalog.OUTPUT_COLUMNS] for r in machine.rows]  # no keys per row
+    return {"line": lines[0].strip(), "idx": idxs[0], "rows": rows, "exit": machine.state()}
+
+
+def _catalog_window_frame(group: pa.Table) -> pa.Table:
+    """Window frame: one JSON payload per window, with ``turn_idx`` = its
+    salt, so the stitch's slicer replays the windows in order."""
+    if not group.num_rows:
+        return _CATALOG_WINDOW_SCHEMA.empty_table()
+    order, bounds, (convs, salts) = conv_runs(group, ("conv_id", "salt"))
+    texts = turn_texts(group, order)
+    tidx = ordered_column(group, "turn_idx", order).tolist()
+    rows = [{"conv_id": cid, "turn_idx": salt,
+             "payload": json.dumps(_catalog_window(texts[lo:hi], tidx[lo:hi]))}
+            for cid, salt, lo, hi in zip(convs, salts, bounds[:-1].tolist(), bounds[1:].tolist())]
+    return rows_to_table(rows, _CATALOG_WINDOW_SCHEMA)
+
+
+def _stitch_catalog(payloads: list[str], _salts: list[int]) -> list[dict]:
+    """Replay one conversation's windows in order through the real machine:
+    the head of the decomposition that matches the machine's gates and the
+    next window's first line, the tail's boundary flush, the tail's rows,
+    then the tail's exit state."""
+    machine = _catalog.CatalogMachine()
+    windows = [json.loads(p) for p in payloads]
+    for w, nxt in zip(windows, [*(v["first"] for v in windows[1:]), ""]):
+        i = 2 * machine.started + machine.valid
+        if len(w["decs"]) > i + 4 and _catalog.RE_YEAR.match(nxt):
+            i += 4
+        lo, hi, key, machine.started, machine.valid = w["decs"][i]
+        tail = w["tails"][key] if key else None
+        at = w["at"]
+        machine.feed(w["lines"][lo - at:hi - at], w["idxs"][lo - at:hi - at],
+                     lookahead=tail["line"] if tail else nxt)
+        if tail:
+            if machine.context_complete():
+                machine.emit(tail["idx"])
+            machine.rows.extend(dict(zip(_catalog.OUTPUT_COLUMNS, r)) for r in tail["rows"])
+            machine.load_state(tail["exit"])
+    machine.finish(windows[-1]["last"] if windows else 0)
+    return machine.rows
+
+
+def _payload_column(group: pa.Table, order: np.ndarray) -> list[str]:
+    return ordered_column(group, "payload", order).tolist()
+
+
+def extract_catalog_salted(path: str, window: int = 128):
+    """Catalog extraction with salted splits; output ≡ ``extract_catalog``,
+    row for row (tested)."""
     from ..pipelines.extract import family_dataset
 
-    ds = family_dataset(path, "invoice")
-    hot = hot_conversations(ds, hot_threshold)
-    hot_ref = ray.put(hot)
-
-    # elastic tasks — the extractor's state is a module-level pattern bank
-    # (see pipelines.extract.extract_invoice)
-    ds = ds.map_batches(
-        InvoiceFieldExtractor(), batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
-    )
-
-    def add_salt(batch: pd.DataFrame) -> pd.DataFrame:
-        hotset = ray.get(hot_ref)
-        salt = np.where(
-            batch["conv_id"].isin(hotset),
-            batch["turn_idx"].to_numpy() // window,
-            0,
-        )
-        return batch.assign(salt=salt.astype(np.int64))
-
-    ds = ds.map_batches(add_salt, batch_format="pandas")
-
-    field_names = list(_invoice.PATTERNS)
-
-    def window_fold(group: pd.DataFrame) -> pd.DataFrame:
-        """Fold ONE window: emit partial rows + (window 0) a header marker.
-
-        Partial rows leave the header-broadcast fields and leading-null
-        Delivery dates unresolved; the stitch pass fills them.
-        """
-        g = group.sort_values("turn_idx", kind="mergesort")
-        conv_id = g["conv_id"].iloc[0]
-        salt = int(g["salt"].iloc[0])
-        fcols = {f: g[FIELD_PREFIX + f].to_numpy() for f in field_names}
-        tidx = g["turn_idx"].to_numpy()
-        out = []
-        for pos in range(len(g)):
-            extracted = {f: col[pos] for f, col in fcols.items() if col[pos] is not None}
-            if not extracted:
-                continue
-            if salt == 0 and pos == 0:
-                # conv-level fragment 0 = invoice header (:72-77)
-                has_inv = "Invoice" in extracted
-                out.append(
-                    {
-                        "conv_id": conv_id, "salt": salt, "ord": int(tidx[pos]),
-                        "kind": _HEADER_MARK,
-                        "Invoice": extracted.get("Invoice") if has_inv else None,
-                        "Invoice Date": extracted.get("Invoice Date") if has_inv else None,
-                        "Due Date": extracted.get("Due Date") if has_inv else None,
-                        "Customer Number": extracted.get("Customer Number") if has_inv else None,
-                    }
-                )
-                continue
-            r = {k: None for k in _invoice.OUTPUT_COLUMNS}
-            r.update(extracted)
-            r["Page"] = str(int(tidx[pos]))
-            r.update({"conv_id": conv_id, "salt": salt, "ord": int(tidx[pos]), "kind": "row"})
-            out.append(r)
-        cols = ["conv_id", "salt", "ord", "kind", *_invoice.OUTPUT_COLUMNS]
-        return pd.DataFrame(out, columns=cols) if out else pd.DataFrame({c: [] for c in cols})
-
-    partials = ds.groupby(["conv_id", "salt"]).map_groups(window_fold, batch_format="pandas")
-
-    def stitch(group: pd.DataFrame) -> pa.Table:
-        """Merge a conversation's window partials: header broadcast + LOCF."""
-        g = group.sort_values(["salt", "ord"], kind="mergesort")
-        conv_id = g["conv_id"].iloc[0]
-        header = {"Invoice": 0, "Invoice Date": None, "Due Date": None, "Customer Number": None}
-        kinds = g["kind"].to_numpy()
-        cols = {k: g[k].to_numpy() for k in _invoice.OUTPUT_COLUMNS}
-        rows = []
-        for i in range(len(g)):
-            if kinds[i] == _HEADER_MARK:
-                for k in header:
-                    header[k] = cols[k][i] if not pd.isna(cols[k][i]) else None
-                continue
-            r = {k: (None if pd.isna(cols[k][i]) else cols[k][i]) for k in _invoice.OUTPUT_COLUMNS}
-            for k in ("Invoice", "Invoice Date", "Due Date", "Customer Number"):
-                # fragment-level extraction wins over the header broadcast:
-                # the plain path applies row.update(extracted) AFTER seeding
-                # the header fields (oracle/invoice.py rows_from_extracted),
-                # so e.g. an order fragment containing 'Invoice 999' keeps
-                # 999. Only null fields fall back to the conversation header.
-                if r[k] is None:
-                    r[k] = header[k]
-            rows.append(r)
-        delivery = None  # LOCF across window boundaries (:94-100)
-        for r in rows:
-            if r["Delivery date"] is not None:
-                delivery = r["Delivery date"]
-            else:
-                r["Delivery date"] = delivery
-            r["conv_id"] = conv_id
-        return rows_to_table(rows, schemas.INVOICE_SCHEMA)
-
-    return partials.groupby("conv_id").map_groups(stitch, batch_format="pandas")
+    stitch = partial(fold_group_table, fold_fn=_stitch_catalog, schema=schemas.CATALOG_SCHEMA,
+                     payloads=_payload_column)
+    return _salted(family_dataset(path, "catalog"), window, _catalog_window_frame, stitch)

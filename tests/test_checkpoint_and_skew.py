@@ -1,14 +1,22 @@
 """Checkpoint/resume (lineage sidecars) and salted-split skew tests
 (SURVEY.md §5.2 items 5-6)."""
 
+import json
 import os
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pdf_extractors_ray.oracle import catalog as oc
 from pdf_extractors_ray.oracle import runner
 from pdf_extractors_ray.pipelines import extract, schemas
+from pdf_extractors_ray.stages.salted import (
+    _catalog_window, _stitch_catalog, extract_catalog_salted, extract_invoice_salted,
+)
 from pdf_extractors_ray.state import lineage
-from pdf_extractors_ray.stages.salted import extract_invoice_salted, hot_conversations
 
 from helpers import canonical, oracle_table
 
@@ -69,25 +77,10 @@ def test_partitioned_extract_and_resume(ray_session, small_corpus_dir, small_cor
     pd.testing.assert_frame_equal(canonical(got), canonical(got2), check_dtype=False)
 
 
-def test_hot_conversation_detection(ray_session, small_corpus_dir):
-    from pdf_extractors_ray.pipelines.extract import family_dataset
-    from pdf_extractors_ray.sources.transcripts import is_hot_conv
-
-    ds = family_dataset(small_corpus_dir, "invoice")
-    hot = hot_conversations(ds, threshold=64)
-    assert hot, "fixture should contain at least one hot invoice conv"
-    assert all(is_hot_conv(c) for c in hot)
-
-
 def test_layout_broadcast_late_header(ray_session, tmp_path):
     """A conversation whose header arrives after turn 0: the fold discovers
     it on the FIRST carrying turn, skips the turns before it, and bins every
     later turn against it."""
-    import json
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     header = [{"col": c, "x": 20.0 + 50.0 * i} for i, c in enumerate(["State Code", "County Code", "Tract Code"])]
 
     def boxes_payload(vals, with_header=False):
@@ -107,49 +100,141 @@ def test_layout_broadcast_late_header(ray_session, tmp_path):
         boxes_payload(["2", "22", "222"], with_header=True),
         boxes_payload(["3", "33", "333"]),
     ]
-    tbl = pa.table(
-        {
-            "conv_id": pa.array(["c1"] * len(turns)),
-            "turn_idx": pa.array(range(len(turns)), pa.int32()),
-            "role": pa.array(["user"] * len(turns)),
-            "text": pa.array(turns),
-            "tool": pa.array(["layout"] * len(turns)),
-            "ts": pa.array([0] * len(turns), pa.timestamp("us")),
-        }
-    )
-    corpus = tmp_path / "late_header"
-    corpus.mkdir()
-    pq.write_table(tbl, str(corpus / "part-00000.parquet"))
-
-    fold = extract.extract_layout(str(corpus)).to_pandas()
+    fold = extract.extract_layout(_one_conv_corpus(tmp_path, "layout", turns)).to_pandas()
     assert fold["ref_turn"].tolist() == [2, 3]
     assert fold["County Code"].tolist() == ["22", "33"]
 
 
-def test_salted_invoice_equals_plain(ray_session, small_corpus_dir):
+def _one_conv_corpus(tmp_path, tool: str, turns: list[str], turn_idx=None) -> str:
+    """One conversation ``c1`` of ``tool`` turns as a Parquet corpus."""
+    import pyarrow.parquet as pq
+
+    tbl = pa.table(
+        {
+            "conv_id": pa.array(["c1"] * len(turns)),
+            "turn_idx": pa.array(turn_idx or range(len(turns)), pa.int32()),
+            "role": pa.array(["user"] * len(turns)),
+            "text": pa.array(turns),
+            "tool": pa.array([tool] * len(turns)),
+            "ts": pa.array([0] * len(turns), pa.timestamp("us")),
+        }
+    )
+    pq.write_table(tbl, str(tmp_path / "part-00000.parquet"))
+    return str(tmp_path)
+
+
+def _spans_windows(table, family: str, window: int) -> bool:
+    """Some conversation of ``family`` has turns in more than one window."""
+    tidx = table.filter(pc.equal(table["tool"], family))["turn_idx"]
+    return pc.max(tidx).as_py() >= window
+
+
+def test_salted_invoice_equals_plain(ray_session, small_corpus_dir, small_corpus_table):
+    assert _spans_windows(small_corpus_table, "invoice", 16)
     plain = extract.extract_invoice(small_corpus_dir).to_pandas()
-    salted = extract_invoice_salted(small_corpus_dir, hot_threshold=64, window=16).to_pandas()
+    salted = extract_invoice_salted(small_corpus_dir, window=16).to_pandas()
     assert len(salted) == len(plain) > 0
-    pd.testing.assert_frame_equal(canonical(plain), canonical(salted), check_dtype=False)
+    pd.testing.assert_frame_equal(plain, salted, check_dtype=False)
 
 
-def test_salted_catalog_equals_plain(ray_session, small_corpus_dir):
-    from pdf_extractors_ray.stages.salted_catalog import extract_catalog_salted
-
+def test_salted_catalog_equals_plain(ray_session, small_corpus_dir, small_corpus_table):
+    assert _spans_windows(small_corpus_table, "catalog", 128)
     plain = extract.extract_catalog(small_corpus_dir).to_pandas()
-    salted = extract_catalog_salted(small_corpus_dir, hot_threshold=256, window=128).to_pandas()
+    salted = extract_catalog_salted(small_corpus_dir, window=128).to_pandas()
     assert len(salted) == len(plain) > 0
-    pd.testing.assert_frame_equal(canonical(plain), canonical(salted), check_dtype=False)
+    pd.testing.assert_frame_equal(plain, salted, check_dtype=False)
 
 
-def test_salted_catalog_small_windows(ray_session, small_corpus_dir):
-    """Aggressive salting (tiny windows) still matches the plain fold —
-    exercises fallback windows (no firing pair) and boundary lookahead."""
-    from pdf_extractors_ray.stages.salted_catalog import extract_catalog_salted
-
+def test_salted_catalog_small_windows(ray_session, small_corpus_dir, small_corpus_table):
+    """Tiny windows still match the plain fold: exercises windows with no
+    firing pair and the boundary lookahead."""
+    assert _spans_windows(small_corpus_table, "catalog", 7)
     plain = extract.extract_catalog(small_corpus_dir).to_pandas()
-    salted = extract_catalog_salted(small_corpus_dir, hot_threshold=8, window=7).to_pandas()
-    pd.testing.assert_frame_equal(canonical(plain), canonical(salted), check_dtype=False)
+    salted = extract_catalog_salted(small_corpus_dir, window=7).to_pandas()
+    pd.testing.assert_frame_equal(plain, salted, check_dtype=False)
+
+
+def test_salted_catalog_oil_before_banner(ray_session, tmp_path):
+    """An ``Oil`` line before the page banner is ignored like every other
+    pre-banner line, so the ``Oil`` gate stays closed for the whole
+    conversation and no later window may fire a manufacturer pair."""
+    turns = ["Oil", oc.BANNER, "x", "y", "FORD", "2001", "MODEL X", "1.0L", "M1-110A", "z"]
+    corpus = _one_conv_corpus(tmp_path, "catalog", turns)
+    assert oc.extract_catalog_conv(turns, list(range(len(turns)))) == []
+    plain = extract.extract_catalog(corpus).to_pandas()
+    salted = extract_catalog_salted(corpus, window=4).to_pandas()
+    assert len(plain) == len(salted) == 0
+
+
+def test_salted_catalog_turn_idx_gap(ray_session, tmp_path):
+    """A missing turn at a window boundary: the line after window 0 is the
+    next turn that exists, so the manufacturer pair still fires."""
+    turns = [oc.BANNER, "Oil", "x", "FORD", "2001", "MODEL X", "1.0L", "M1-110A"]
+    corpus = _one_conv_corpus(tmp_path, "catalog", turns, [0, 1, 2, 3, 5, 6, 7, 8])
+    plain = extract.extract_catalog(corpus).to_pandas()
+    salted = extract_catalog_salted(corpus, window=4).to_pandas()
+    assert plain["manufacturer"].tolist() == ["FORD"]
+    pd.testing.assert_frame_equal(plain, salted, check_dtype=False)
+
+
+def test_salted_variants_run_without_ray_data_barriers(ray_session, small_corpus_dir, monkeypatch):
+    """Both salted variants complete with Ray Data's groupby, aggregate,
+    sort and repartition disabled: the window fold and the stitch run on
+    the key exchange's Ray tasks; only the family read is Ray Data."""
+    import ray.data
+
+    def barrier(*_a, **_k):
+        raise AssertionError("Ray Data barrier in a salted variant")
+
+    for name in ("groupby", "aggregate", "sort", "repartition"):
+        monkeypatch.setattr(ray.data.Dataset, name, barrier)
+    assert len(extract_invoice_salted(small_corpus_dir, window=16).to_pandas())
+    assert len(extract_catalog_salted(small_corpus_dir, window=7).to_pandas())
+
+
+# line groups that trigger the machine's rules, gate lines included; a
+# whole record makes rows likely
+_RECORD = ["FORD", "2001", "MODEL X", "1.0L", "M1-110A"]
+_CATALOG_CHUNKS = [
+    [oc.BANNER], ["Oil"], ["FORD", "2001"], ["SAAB", "2019\xa0(cont'd)"], ["FORD"], ["2003"],
+    ["MODEL X"], ["9-3 2.0t"], ["1.0L"], ["2.4L V6"], ["(Electric/Gas)"], ["M1-110A"],
+    ["F12345 M1C-220B"], ["MANUFACTURER-MODEL-ENGINE"], ["junk"], [""], ["FORD\xa0(cont'd)"],
+    _RECORD,
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_CATALOG_CHUNKS), max_size=16), st.integers(1, 6))
+# an Oil line before the banner opens no gate
+@example([["Oil"], [oc.BANNER], _RECORD], 1)
+# the (True, True) tail raises, but the conversation never opens the Oil gate
+@example([[oc.BANNER], ["SAAB", "2019\xa0(cont'd)"], ["2.4L V6"], ["(Electric/Gas)"]], 5)
+# a tail's last line fires only because the next window starts with a year
+@example([[oc.BANNER, "Oil"], _RECORD, ["SAAB"], ["2003"], _RECORD[2:]], 8)
+# a head's last line sees the split line next, not the window's lookahead
+@example([[oc.BANNER, "Oil"], _RECORD, ["FORD\xa0(cont'd)", "SAAB"], _RECORD[1:], ["junk", "2003"]],
+         7)
+def test_catalog_windows_stitch_to_the_fold(chunks, window):
+    """Every window decomposed on its own, then stitched in order, equals
+    the whole-conversation machine, whatever gates each window enters
+    with. Where the machine raises (an "(Electric/Gas)" line after a model
+    but no engine), the stitch raises too, and a window never raises for
+    an entry state the conversation does not reach."""
+    lines = [line for chunk in chunks for line in chunk]
+    idxs = list(range(len(lines)))
+
+    def stitched():
+        payloads = [json.dumps(_catalog_window(lines[lo:lo + window], idxs[lo:lo + window]))
+                    for lo in range(0, len(lines), window)]
+        return _stitch_catalog(payloads, [])
+
+    def outcome(fn):
+        try:
+            return fn()
+        except TypeError:
+            return TypeError
+
+    assert outcome(stitched) == outcome(lambda: oc.extract_catalog_conv(lines, idxs))
 
 
 def test_cogroup_join_carries_large_ints_exactly(ray_session):

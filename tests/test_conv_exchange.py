@@ -18,8 +18,10 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from pdf_extractors_ray.ops import transcript as tr
 from pdf_extractors_ray.stages import fold
@@ -170,6 +172,33 @@ def test_conv_map_splits_by_range_after_pre(corpora):
         assert all((edges[g] is None or c >= edges[g]) and (edges[g + 1] is None or c < edges[g + 1])
                    for c in ids)
     assert sum(p.num_rows for p in parts) == sum(pq.read_metadata(f).num_rows for f in files)
+
+
+@pytest.mark.parametrize("keys", [
+    ["d", None, "b", "a", None, "c", "e", "a"],
+    [4, None, 2, 1, None, 3, 5, 1],
+])
+def test_key_exchange_sends_null_keys_to_the_first_range(ray_session, monkeypatch, keys):
+    """Null keys next to values: the sample leaves them out, and the map
+    sends them to the first range, where ``conv_runs`` orders them first."""
+    shard = pa.table({"k": keys, "v": list(range(len(keys)))})
+    sample, n, _nbytes = fold._key_sample(fold._as_table, shard, "k")
+    assert None not in sample and n == len(set(keys) - {None})
+    bounds = fold._range_bounds([(sample, n)], 3)
+    parts = fold._key_map(fold._as_table, shard, "k", bounds)
+    assert len(parts) == 3 and parts[0]["k"].null_count == 2
+    assert sum(p.num_rows for p in parts) == len(keys)
+
+    _force_ranges(monkeypatch, 3)
+    half = len(keys) // 2
+    refs = fold.key_exchange(
+        [shard.slice(0, half), shard.slice(half), pa.table({})], "k",
+        lambda t: t.take(pc.sort_indices(t, [("k", "ascending")], null_placement="at_start")),
+    )
+    got = ray.get(refs)
+    out = pa.concat_tables(got)["k"].to_pylist()
+    assert out == [None, None] + sorted(k for k in keys if k is not None)
+    assert got[0]["k"].null_count == 2
 
 
 # ---------------------------------------------------------------------------

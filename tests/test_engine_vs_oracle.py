@@ -111,11 +111,11 @@ def test_salted_stitch_fragment_header_wins(ray_session, tmp_path):
     pq.write_table(tbl, str(corpus / "part-00000.parquet"))
 
     plain = extract_invoice(str(corpus)).to_pandas()
-    # window=2 puts the Invoice-999 fragment in a non-zero window of a
-    # "hot" conversation, so the stitch pass must preserve it
-    salted = extract_invoice_salted(str(corpus), hot_threshold=3, window=2).to_pandas()
+    # window=2 puts the Invoice-999 fragment in a non-zero window, so the
+    # stitch pass must preserve it
+    salted = extract_invoice_salted(str(corpus), window=2).to_pandas()
     assert sorted(plain["Invoice"]) == ["111", "111", "111", "111", "999"]
-    pd.testing.assert_frame_equal(canonical(plain), canonical(salted), check_dtype=False)
+    pd.testing.assert_frame_equal(plain, salted, check_dtype=False)
 
 
 def test_null_text_treated_as_empty_line(ray_session):

@@ -88,6 +88,22 @@ def test_family_rows_come_out_in_conv_id_order(ray_session, small_corpus_dir, bo
     assert conv == sorted(conv)
 
 
+@pytest.mark.skipif(not os.path.isdir(SF), reason="testdata not present")
+@pytest.mark.parametrize("family", ["census_summary", "census_persons"])
+def test_census_rows_come_out_in_conv_id_order(ray_session, family):
+    """The per-household maps keep the fold's block order: two runs give
+    the same rows in the same order, sorted by conv_id."""
+    from pdf_extractors_ray.sources.transcripts import transcripts_path_for_sf
+
+    path = transcripts_path_for_sf(SF)
+    first = extract.EXTRACTORS[family](path).to_pandas()
+    second = extract.EXTRACTORS[family](path).to_pandas()
+    pd.testing.assert_frame_equal(first, second, check_exact=True)
+    conv = first["conv_id"].tolist()
+    assert len(set(conv)) > 1
+    assert conv == sorted(conv)
+
+
 @pytest.fixture(scope="module")
 def no_family_corpus(small_corpus_dir, tmp_path_factory):
     """The small corpus with every turn's tool renamed, so no family

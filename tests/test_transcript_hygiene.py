@@ -171,6 +171,29 @@ def test_tool_latency_matches_duckdb_twin(ray_session):
     assert len(eng) > 0 and (eng["p95_us"] >= eng["p50_us"]).all()
 
 
+def test_tool_latency_null_tool_matches_duckdb_twin(ray_session, small_corpus_table, tmp_path):
+    """A conversation whose tool is null next to ones that have a tool: its
+    gaps form their own cells, labelled null, and the twin agrees."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    tbl = small_corpus_table
+    tool = tbl["tool"]
+    victim = pc.equal(tbl["conv_id"], tbl["conv_id"][0])
+    tbl = tbl.set_column(tbl.schema.get_field_index("tool"), "tool",
+                         pc.if_else(victim, pa.scalar(None, tool.type), tool))
+    half = tbl.num_rows // 2
+    pq.write_table(tbl.slice(0, half), tmp_path / "part-0.parquet")
+    pq.write_table(tbl.slice(half), tmp_path / "part-1.parquet")
+
+    eng = tr.transcript_tool_latency(str(tmp_path)).to_pandas()
+    ora = duckdb.sql(tr.transcript_tool_latency_sql(str(tmp_path))).df()
+    assert eng["tool"].isna().any() and eng["tool"].notna().any()
+    ec = eng.sort_values(["tool", "role"]).reset_index(drop=True)
+    oc = ora.sort_values(["tool", "role"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(ec, oc[ec.columns], check_dtype=False)
+
+
 def test_tool_latency_crafted_gaps(ray_session, tmp_path):
     """Varied gaps with known order statistics, rows written shuffled:
     p50/p95 must be the exact rank-ceil order statistics per (tool,
