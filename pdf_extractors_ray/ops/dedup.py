@@ -1096,15 +1096,15 @@ def clusters_from_refs(edge_refs: list, universe_refs: list, max_rounds: int = 3
     (``stages.fold.key_exchange``) by doc_id merges it with the universe:
     docs that are not endpoints are always singletons of size 1. Larger
     edge sets take ``_distributed_clusters``."""
-    import ray
     import ray.data as rd
 
+    from ..runtime import remote_fn
     from ..stages.fold import key_exchange
 
     edges = rd.from_arrow_refs(edge_refs)
     if 32 * edges.count() > _SMALL_EDGE_BYTES:
         return _distributed_clusters(edges, rd.from_arrow_refs(universe_refs), max_rounds)
-    comps = ray.remote(_components_table).remote(*edge_refs)
+    comps = remote_fn(_components_table).remote(*edge_refs)
     return rd.from_arrow_refs(
         key_exchange([*universe_refs, comps], "doc_id", merge_members_frame, load=_load_members)
     )

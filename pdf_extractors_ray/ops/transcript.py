@@ -34,6 +34,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..stages.fold import conv_runs, key_codes, ordered_column, run_continues, turn_texts
 
@@ -308,10 +309,12 @@ def transcript_conv_neardup(path: str, max_hamming: int = 3):
 
 def _conv_key_table(files: list[str]):
     """Universe task: the distinct ``_conv_key`` of every conversation in
-    ``files`` → Arrow table (doc_id)."""
+    ``files`` → Arrow table (doc_id), in first-appearance order. Arrow's
+    hash kernel finds the distinct ids, so only they become Python
+    objects."""
     from ..stages.fold import _read_shard
 
-    convs = pd.unique(np.asarray(_read_shard(files, ["conv_id"])["conv_id"].to_pylist(), object))
+    convs = pc.unique(_read_shard(files, ["conv_id"])["conv_id"]).to_pylist()
     return pa.table({"doc_id": pa.array([_conv_key(c) for c in convs], pa.int64())})
 
 
@@ -334,13 +337,12 @@ def transcript_conv_clusters(path: str, max_hamming: int = 3,
     cluster_size), sorted by doc_id. Pinned to
     ``transcript_conv_clusters_sql`` (recursive-CTE transitive closure
     over the bit-exact pair twin)."""
-    import ray
-
+    from ..runtime import remote_fn
     from ..stages.fold import parquet_shards
     from .dedup import clusters_from_refs
 
     edges = _conv_neardup_refs(path, max_hamming)
-    key_task = ray.remote(_conv_key_table)
+    key_task = remote_fn(_conv_key_table)
     universe = [key_task.remote(files) for files in parquet_shards(path)]
     return clusters_from_refs(edges, universe, max_rounds=max_rounds)
 
@@ -729,8 +731,6 @@ ORDER BY conv_id, turn_idx
 def rollup_rows(batch) -> pd.DataFrame:
     """Per-turn (tool, day_epoch, n_turns=1, n_hits, n_fields) of an
     ``InvoiceFieldExtractor`` output table."""
-    import pyarrow.compute as pc
-
     from ..stages.invoice_extract import FIELD_PREFIX
 
     nf = np.zeros(len(batch), dtype=np.int64)
@@ -779,12 +779,12 @@ def transcript_extract_rate(path: str):
     execution runs. Day is the epoch-day integer so both engines agree
     bytewise on the time key. ``hit`` = at least one bank field extracted
     non-empty; ``n_fields`` sums fields over turns."""
-    import ray
     import ray.data
 
+    from ..runtime import remote_fn
     from ..stages.fold import parquet_shards
 
-    task = ray.remote(_extract_rate_partial)
+    task = remote_fn(_extract_rate_partial)
     agg = _combine_cells([task.remote(files) for files in parquet_shards(path)], _RATE_KEYS)
     agg["hit_ppm"] = (1_000_000 * agg["n_hits"]) // agg["n_turns"]
     return ray.data.from_pandas(agg)
@@ -841,8 +841,6 @@ def transcript_prompt_response(path: str):
     from ..stages.fold import conv_exchange_refs
 
     def proj(batch):
-        import pyarrow.compute as pc
-
         return pa.table(
             {
                 "conv_id": batch["conv_id"],

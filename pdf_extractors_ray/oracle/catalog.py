@@ -15,7 +15,12 @@ Divergences (documented, deliberate):
   across processes (``:54``); we canonicalize to ``sorted(set(oils))``
   (SURVEY.md §7.5 #2);
 - the reference emits the fitz page number; our input unit is the transcript
-  turn, so rows carry ``ref_turn`` = the ``turn_idx`` of the emitting line.
+  turn, so rows carry ``ref_turn`` = the ``turn_idx`` of the emitting line;
+- an "(Electric/Gas)" line after a model but before any engine is ignored
+  (the engine stays None). The reference's branch (:96-109) appends it to
+  the engine, which here would be ``None + str``: a ``TypeError`` that sinks
+  the whole conversation's fold. Its source is not in the tree, so whether
+  it raises there too is unchecked.
 
 NBSP semantics: the reference's PDF text extraction yields non-breaking
 spaces (U+00A0), and its string handling keys on them — manufacturer/year
@@ -164,7 +169,7 @@ class CatalogMachine:
                             self.oils = []
                         if stripped not in _ELECTRIC_GAS:
                             self.engine = stripped
-                        else:
+                        elif self.engine is not None:
                             self.engine = self.engine + " " + stripped
                     else:
                         self.oils.extend(RE_OILCODE.findall(stripped))

@@ -213,10 +213,11 @@ def _map_households(households, fn):
     """``fn`` once per household block, one Ray task each → Dataset of the
     outputs in block order, so rows keep the fold's conv_id order. The
     fold always yields at least one (possibly empty) typed block."""
-    import ray
     import ray.data
 
-    task = ray.remote(_map_block)
+    from ..runtime import remote_fn
+
+    task = remote_fn(_map_block)
     return ray.data.from_arrow_refs([task.remote(fn, ref) for ref in households.to_arrow_refs()])
 
 

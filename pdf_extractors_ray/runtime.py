@@ -5,9 +5,12 @@ nothing else: the shuffles keep Ray's default sort-based exchange, and
 block counts are sized where a read feeds one (``sized_num_blocks``,
 ``shuffle_num_blocks``). Idempotent; callable from any pipeline entry (the
 driver owns ``ray.init`` — this only touches ``DataContext``).
+``remote_fn`` builds each module-level function's Ray remote function once.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 def _cluster_cpus(default: int = 8) -> int:
@@ -16,6 +19,19 @@ def _cluster_cpus(default: int = 8) -> int:
     if not ray.is_initialized():
         return default
     return int(ray.cluster_resources().get("CPU", default))
+
+
+@functools.cache
+def remote_fn(fn):
+    """``ray.remote(fn)``, built once per function. Building it on every call
+    pickles and exports the function again (2-4 ms each); a cached one
+    exports once per session (Ray re-exports it after a new ``ray.init``),
+    as a module-level ``@ray.remote`` would. Pass module-level functions
+    only: the cache keeps each for the life of the process. Per-call
+    ``.options(...)`` go on the result."""
+    import ray
+
+    return ray.remote(fn)
 
 
 def tune_data_context() -> None:
@@ -74,7 +90,10 @@ def read_parquet_sized(path: str, columns=None, floor_bytes: int = 2 << 20, **kw
 
 
 def shuffle_num_blocks(num_cpus: int | None = None) -> int:
-    """Map-side block count feeding a shuffle: ~1 block per CPU (min 16).
+    """Map-side shard count of the all-family extract engine
+    (``state.lineage.partitioned_extract_all_tasks``), mirrored by
+    perfbench's traced replay: ~1 per CPU (min 16). The conversation key
+    exchange sizes its shards by itself (``stages.fold.parquet_shards``).
 
     Measured on the bench corpus: 16 blocks at 8 CPUs / 32 at 32 CPUs cut
     the shuffle wall 2x vs fine-grained blocks (fewer, larger exchange

@@ -671,7 +671,9 @@ def synthesize_transcripts(
     if use_ray:
         import ray
 
-        gen = ray.remote(_write_chunk)
+        from ..runtime import remote_fn
+
+        gen = remote_fn(_write_chunk)
         ray.get(
             [
                 gen.remote(out_dir, i, lo, hi, seed, shuffle, row_group_size, cycle, gens)

@@ -25,7 +25,11 @@ Dataset's blocks for the per-family pipelines (``fold_conversations``),
 or the previous exchange's fold outputs, so a chain of exchanges
 (conv_id → digest → conv_id; conv_id → LSH band → pair ``a``) never
 leaves Ray tasks. ``conv_exchange`` feeds it a transcript Parquet
-directory keyed by conv_id. The all-family extract engine
+directory keyed by conv_id, cut by ``parquet_shards`` into one contiguous
+run of the sorted files per cluster CPU (more for large inputs), so a
+range's rows arrive in file order at any shard count. Its sample, map and
+fold tasks are Ray remote functions built once per session
+(``runtime.remote_fn``). The all-family extract engine
 (``state/lineage.partitioned_extract_all_tasks``) exchanges a hashed
 ``part_id`` on Ray tasks instead, because its partitions are the
 checkpoint unit.
@@ -45,6 +49,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from ..runtime import remote_fn
 
 FoldFn = Callable[[list[str], list[int]], list[dict]]
 
@@ -262,7 +268,9 @@ def key_exchange(shards: list, key: str, frame_fn, load=_as_table, nbytes: int |
 
     A shard is an Arrow table or an object ref to one, or whatever
     ``load(shard, key_only)`` turns into one (``key_only`` lets a sample
-    read less); an empty shard may carry no columns. So a frame that orders
+    read less); an empty shard may carry no columns. The caller sizes the
+    shards: every shard costs a sample and a map task. A range's rows
+    arrive in shard order, so tied rows keep it. So a frame that orders
     its rows by key yields globally ordered output. Ranges: one per cluster
     CPU, more for large inputs (``state.lineage._n_groups`` over
     ``nbytes``, by default the loaded bytes), at most one per distinct key.
@@ -274,18 +282,19 @@ def key_exchange(shards: list, key: str, frame_fn, load=_as_table, nbytes: int |
     from ..runtime import _cluster_cpus
     from ..state.lineage import _n_groups
 
-    sampled = ray.get([ray.remote(_key_sample).remote(load, sh, key) for sh in shards])
+    sample_task = remote_fn(_key_sample)
+    sampled = ray.get([sample_task.remote(load, sh, key) for sh in shards])
     samples = [(s, n) for s, n, _b in sampled if s]
     if nbytes is None:
         nbytes = sum(b for _s, _n, b in sampled)
     n_groups = _n_groups(sum(n for _s, n in samples), nbytes, _cluster_cpus(), per_cpu=1)
     bounds = _range_bounds(samples, n_groups) if samples else np.array([], dtype=object)
     n_out = len(bounds) + 1
-    map_task = ray.remote(_key_map).options(num_returns=n_out)
+    map_task = remote_fn(_key_map).options(num_returns=n_out)
     map_refs = [map_task.remote(load, sh, key, bounds) for sh in shards]
     if n_out == 1:
         map_refs = [[r] for r in map_refs]
-    fold_task = ray.remote(_key_fold)
+    fold_task = remote_fn(_key_fold)
     return [fold_task.remote(frame_fn, *[refs[g] for refs in map_refs]) for g in range(n_out)]
 
 
@@ -304,25 +313,33 @@ class _ParquetLoad:
 
 
 def parquet_shards(path: str) -> list[list[str]]:
-    """The Parquet files of a transcript directory in ``min(files,
-    shuffle_num_blocks())`` interleaved groups, one task each."""
-    from ..runtime import shuffle_num_blocks
-    from ..state.lineage import _list_parquet
+    """The sorted Parquet files of a transcript directory in ``min(files,
+    max(cluster CPUs, ceil(bytes / lineage._TARGET_PART_BYTES)))``
+    contiguous, non-empty runs of near-equal file counts, one task each.
+    Shards follow cluster width and data size, not a fixed fan-out (a
+    1 MB, 8-file corpus on 2 CPUs: 2 sample and 2 map tasks, not 8 each),
+    and every shard's rows are a run of the files in order, so a fold sees
+    rows in file order at any shard count."""
+    from ..runtime import _cluster_cpus
+    from ..state import lineage
 
-    files = _list_parquet(path)
+    files = lineage._list_parquet(path)
     if not files:
         raise FileNotFoundError(f"no Parquet files under {path}")
-    n_shards = min(len(files), shuffle_num_blocks())
-    return [files[i::n_shards] for i in range(n_shards)]
+    nbytes = sum(os.path.getsize(f) for f in files)
+    n = min(len(files), max(_cluster_cpus(), -(-nbytes // lineage._TARGET_PART_BYTES)))
+    return [files[len(files) * i // n:len(files) * (i + 1) // n] for i in range(n)]
 
 
 def conv_exchange_refs(path: str, columns: list[str], frame_fn, pre=None) -> list:
     """``key_exchange`` over a transcript Parquet directory keyed by
     conv_id: every conversation co-located, ``frame_fn`` once per conv_id
     range → the fold outputs' object refs, in range order. One shard per
-    group of files; the optional map-side ``pre`` (Arrow table -> Arrow
-    table, e.g. per-turn digests so no text crosses the exchange) runs on
-    the pruned ``columns``. Ranges are sized by the on-disk bytes."""
+    contiguous run of files (``parquet_shards``), so tied rows reach a
+    frame in file order; the optional map-side ``pre`` (Arrow table ->
+    Arrow table, e.g. per-turn digests so no text crosses the exchange)
+    runs on the pruned ``columns``. Ranges are sized by the on-disk
+    bytes."""
     from ..runtime import tune_data_context
 
     tune_data_context()

@@ -159,38 +159,32 @@ def _catalog_window(lines: list[str], idxs: list[int]) -> dict:
     model, engine and oils, and the pair's year line overwrites the year
     before any row can read it. Only the pair's own flush reads the old
     context, so the stitch replays it. Each distinct split's tail is folded
-    here once: its rows and its exit state. A tail whose fold raises is
-    left in its head instead: the entry state may never occur, and if it
-    does, the stitch's replay raises as the plain fold would. The payload
-    carries only the lines some head reads."""
+    here once: its rows and its exit state. The payload carries only the
+    lines some head reads."""
     decs, tails = [], {}
     for la in ("", _A_YEAR) if _may_fire(lines[-1]) else ("",):
         for started, valid in _GATES:
             lo, started, valid = _gates_open_at(lines, started, valid)
-            split = _first_pair(lines, la, lo)
-            key = f"{split}{la}"
-            if split >= 0 and key not in tails:
-                tails[key] = _catalog_tail(lines[split:], idxs[split:], la)
-            if tails.get(key) is None:  # no pair fires, or its tail's fold raises
-                split, key = len(lines), None
+            split, key = _first_pair(lines, la, lo), None
+            if split < 0:  # no pair fires: the head runs to the end
+                split = len(lines)
+            else:
+                key = f"{split}{la}"
+                if key not in tails:
+                    tails[key] = _catalog_tail(lines[split:], idxs[split:], la)
             decs.append([lo, split, key, started, valid])
     heads = [(lo, hi) for lo, hi, *_ in decs if lo < hi]
     at = min((lo for lo, _ in heads), default=0)
     end = max((hi for _, hi in heads), default=0)
     return {"lines": lines[at:end], "idxs": idxs[at:end], "at": at, "first": lines[0].strip(),
-            "last": idxs[-1], "decs": decs,
-            "tails": {k: t for k, t in tails.items() if t is not None}}
+            "last": idxs[-1], "decs": decs, "tails": tails}
 
 
-def _catalog_tail(lines: list[str], idxs: list[int], la: str) -> dict | None:
+def _catalog_tail(lines: list[str], idxs: list[int], la: str) -> dict:
     """The machine from a firing pair on: the pair's line and turn, the
-    rows, the exit state; None where the machine raises (a TypeError on
-    an "(Electric/Gas)" line that follows a model but no engine)."""
+    rows, the exit state."""
     machine = _catalog.CatalogMachine(started=True, valid=True)
-    try:
-        machine.feed(lines, idxs, lookahead=la)
-    except TypeError:
-        return None
+    machine.feed(lines, idxs, lookahead=la)
     rows = [[r[c] for c in _catalog.OUTPUT_COLUMNS] for r in machine.rows]  # no keys per row
     return {"line": lines[0].strip(), "idx": idxs[0], "rows": rows, "exit": machine.state()}
 

@@ -405,7 +405,7 @@ def partitioned_extract_all_tasks(path: str, out_root: str, n_parts: int | None 
     """
     import ray
 
-    from ..runtime import _cluster_cpus, shuffle_num_blocks
+    from ..runtime import _cluster_cpus, remote_fn, shuffle_num_blocks
 
     files = _list_parquet(path)
     n_parts = _resolve_n_parts(out_root, files, n_parts)
@@ -421,7 +421,7 @@ def partitioned_extract_all_tasks(path: str, out_root: str, n_parts: int | None 
     if groups:
         n_shards = min(len(files), shuffle_num_blocks())
         shards = [list(files[i::n_shards]) for i in range(n_shards)]
-        map_task = ray.remote(_map_shard).options(num_returns=len(groups))
+        map_task = remote_fn(_map_shard).options(num_returns=len(groups))
         # retry_exceptions: a fold that dies with a Python exception
         # (transient FS error, allocator failure) retries like worker death
         # does — safe because every publish is idempotent by construction:
@@ -430,7 +430,7 @@ def partitioned_extract_all_tasks(path: str, out_root: str, n_parts: int | None 
         # successful return, so a retried group can neither double-write nor
         # double-count (pinned by
         # tests/test_fault_tolerance.py::test_fold_task_poison_retries_exactly)
-        fold_task = ray.remote(_fold_group).options(retry_exceptions=True, max_retries=4)
+        fold_task = remote_fn(_fold_group).options(retry_exceptions=True, max_retries=4)
         # the per-partition bodies are looked up HERE and shipped as task
         # arguments, so the workers run whatever this module binds to
         # ``_shard_map``/``_fold_and_write`` at call time

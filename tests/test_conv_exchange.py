@@ -11,6 +11,7 @@ a single conversation; ranges are forced to 1, 2 and more than there are
 conversations.
 """
 
+import collections
 import glob
 import os
 
@@ -23,6 +24,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
+from pdf_extractors_ray import runtime
 from pdf_extractors_ray.ops import transcript as tr
 from pdf_extractors_ray.stages import fold
 from pdf_extractors_ray.state import lineage
@@ -67,7 +69,22 @@ def corpora(small_corpus_dir, tmp_path_factory):
         "xfile": _write(base, root / "xfile", 4, 1),
         "hot": _write(pa.concat_tables([small, hot_rows] + copies), root / "hot", 2, 2),
         "one": _write(base.filter(pa.array(conv == hot_id)), root / "one", 1, 3),
+        "ties": _tied(base, root / "ties"),
     }
+
+
+def _tied(base, path):
+    """8 files; one turn appears twice, as the same (conv_id, turn_idx)
+    with different texts, in files 1 and 2. Interleaved file groups would
+    meet the two rows in the other order than a single shard does."""
+    path = _write(base.slice(1), path, 8, 4)
+    row = base.slice(0, 1)
+    i = row.schema.get_field_index("text")
+    tied = row.set_column(i, "text", pa.array(["a tied copy"], row.schema.field(i).type))
+    for k, extra in ((1, row), (2, tied)):
+        f = os.path.join(path, f"part-{k}.parquet")
+        pq.write_table(pa.concat_tables([pq.read_table(f), extra]), f)
+    return path
 
 
 def _frame(ds):
@@ -199,6 +216,72 @@ def test_key_exchange_sends_null_keys_to_the_first_range(ray_session, monkeypatc
     out = pa.concat_tables(got)["k"].to_pylist()
     assert out == [None, None] + sorted(k for k in keys if k is not None)
     assert got[0]["k"].null_count == 2
+
+
+def _force_cpus(monkeypatch, n):
+    monkeypatch.setattr(runtime, "_cluster_cpus", lambda *a, **k: n)
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 4, 8, 16])
+def test_parquet_shards_are_contiguous_runs_one_per_cpu(ray_session, corpora, monkeypatch, cpus):
+    """Non-empty, contiguous runs of the sorted files that cover each file
+    once: ``min(files, cpus)`` of them on a small corpus, and at least
+    ``ceil(bytes / target)`` when the byte target is lowered."""
+    path = corpora["ties"]
+    files = lineage._list_parquet(path)
+    nbytes = sum(os.path.getsize(f) for f in files)
+    _force_cpus(monkeypatch, cpus)
+
+    def runs():
+        shards = fold.parquet_shards(path)
+        assert all(shards) and [f for sh in shards for f in sh] == files
+        return len(shards)
+
+    assert len(files) == 8 and runs() == min(8, cpus)
+    for target in (nbytes // 6, 1):
+        monkeypatch.setattr(lineage, "_TARGET_PART_BYTES", target)
+        assert runs() >= min(8, -(-nbytes // target))
+
+
+def test_remote_fn_is_built_once():
+    assert runtime.remote_fn(fold._key_fold) is runtime.remote_fn(fold._key_fold)
+    assert runtime.remote_fn(fold._key_fold) is not runtime.remote_fn(fold._key_map)
+
+
+@pytest.mark.parametrize("op", MOVED)
+def test_op_frame_is_independent_of_shard_count(ray_session, corpora, monkeypatch, op):
+    """Tied (conv_id, turn_idx) rows in two files reach every fold in file
+    order, however many shards (and ranges) the cluster width cuts."""
+    fn = getattr(tr, f"transcript_{op}")
+    outs = []
+    for cpus in (1, 2, 8):
+        _force_cpus(monkeypatch, cpus)
+        outs.append(_frame(fn(corpora["ties"])))
+    for got in outs[1:]:
+        pd.testing.assert_frame_equal(got, outs[0], check_exact=True)
+
+
+def test_single_exchange_op_runs_one_map_shard_per_cpu(ray_session, corpora, monkeypatch):
+    """Guard against per-file shards: on 8 files in the 4-CPU session, a
+    single-exchange op runs at most 4 sample and 4 map tasks."""
+    calls = collections.Counter()
+    build = fold.remote_fn
+
+    class Counted:
+        def __init__(self, rf, name):
+            self.rf, self.name = rf, name
+
+        def options(self, **kw):
+            return Counted(self.rf.options(**kw), self.name)
+
+        def remote(self, *a, **k):
+            calls[self.name] += 1
+            return self.rf.remote(*a, **k)
+
+    monkeypatch.setattr(fold, "remote_fn", lambda fn: Counted(build(fn), fn.__name__))
+    assert ray.cluster_resources()["CPU"] == 4
+    assert len(tr.transcript_hygiene(corpora["ties"]).to_pandas())
+    assert 0 < calls["_key_sample"] <= 4 and 0 < calls["_key_map"] <= 4
 
 
 # ---------------------------------------------------------------------------

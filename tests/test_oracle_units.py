@@ -53,6 +53,17 @@ def test_catalog_electric_gas_merge():
     assert rows[0]["engine"] == "L4 2.5L (Electric/Gas)"
 
 
+def test_catalog_electric_gas_before_any_engine_is_ignored():
+    """An "(Electric/Gas)" line after a model but no engine leaves the
+    engine None instead of raising, so the record's later engine stands
+    alone."""
+    lines = [catalog.BANNER, "Oil", "SAAB", "2019\xa0(cont'd)", "2.4L V6", "(Electric/Gas)"]
+    assert catalog.extract_catalog_conv(lines, range(6)) == []
+    lines = [catalog.BANNER, "Oil", "FORD", "2022", "Escape", "(Electric/Gas)", "L4 2.5L", "M1-108A"]
+    rows = catalog.extract_catalog_conv(lines, list(range(len(lines))))
+    assert [(r["model"], r["engine"], r["oils"]) for r in rows] == [("Escape", "L4 2.5L", ["M1-108A"])]
+
+
 # ---------------------------------------------------------------------------
 # invoice regex bank + fold
 
