@@ -7,8 +7,8 @@ library (PNG: zlib inflate + per-filter unfiltering incl. Paeth; JPEG:
 generic DQT/DHT parsing, Huffman entropy decode, vectorized orthonormal
 IDCT) — so the decode, resize, and frame-sample kernels over them are
 REAL (round-trip-tested), not stubs. MPEG audio (MP3) has a real generic
-FRAME layer here (header walk, free-format length discovery, duration,
-frame sampling — see the MP3 section) with a PCM-embedding writer for
+FRAME layer here (header walk, free-format length discovery, duration —
+see the MP3 section) with a PCM-embedding writer for
 mixed-container pipelines; full Layer III spectral synthesis and H.264
 stay injectable per-actor handles via ``DecodeStub``'s ``codec_factory``
 (see ``ops/multimodal.py``). Reference analog for the image chain: the
@@ -783,7 +783,7 @@ def sample_pcm(pcm: np.ndarray, rate: int, every_ms: int, max_frames: int):
 # layout), per-frame length arithmetic, side-info main_data_begin parse,
 # and free-format (bitrate index 0) length discovery by constant-header
 # stride validation. It works on any conformant Layer III stream and is
-# what the frame-sampling / duration paths need — no spectral synthesis.
+# what the duration path needs — no spectral synthesis.
 #
 # Full Layer III AUDIO synthesis (Huffman spectra, requantization, IMDCT,
 # polyphase filterbank) remains the documented external-codec injection
@@ -951,29 +951,6 @@ def mp3_duration_ms(payload: bytes) -> int:
     total = sum(f["samples"] for f in frames)
     rate = frames[0]["sample_rate"] if frames else 1
     return total * 1000 // rate
-
-
-def sample_mp3_frames(payload: bytes, every_ms: int, max_frames: int):
-    """Frame-accurate ``every_ms`` sampling over an MPEG stream — the
-    compressed-domain mirror of ``sample_pcm``: returns up to
-    ``max_frames`` entries ``(ts_ms, frame_offset, frame_size)``, each
-    the frame whose START timestamp first reaches ``i * every_ms``.
-    Pure header-walk arithmetic; no payload decode."""
-    frames = mp3_frames(payload)
-    if frames and _is_info_frame(payload, frames[0]):
-        frames = frames[1:]
-    out = []
-    t_samples = 0
-    target = 0
-    for f in frames:
-        if len(out) >= max_frames:
-            break
-        ts_ms = t_samples * 1000 // f["sample_rate"]
-        if t_samples * 1000 >= target * f["sample_rate"]:
-            out.append((ts_ms, f["offset"], f["size"]))
-            target += every_ms
-        t_samples += f["samples"]
-    return out
 
 
 def _main_data_offset(frame: dict) -> int:

@@ -78,48 +78,6 @@ def merge_single_file(ds, out_dir: str) -> str:
     return out_dir
 
 
-def dedup_turns(ds):
-    """Exact first-wins dedup on ``(conv_id, turn_idx)`` — the idempotent
-    re-ingestion guard (SURVEY.md §2.7 / §7.4: resume-idempotence dedup).
-    Batch-local drop first (cheap), then a grouped first-wins reduce."""
-
-    def local(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = batch.to_pandas()
-        df = df.drop_duplicates(["conv_id", "turn_idx"], keep="first")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    deduped = ds.map_batches(local, batch_format="pyarrow")
-
-    from .common import _default_buckets
-
-    nb = _default_buckets()
-
-    def add_bucket(df):
-        import numpy as np
-        import pandas as pd
-
-        h = pd.util.hash_pandas_object(df[["conv_id", "turn_idx"]], index=False).to_numpy()
-        df = df.copy()
-        df["__b"] = (h % nb).astype(np.int64)
-        return df
-
-    def first_wins(group):
-        # grouped per hash bucket of the key, not per (conv, turn) — group
-        # count would be corpus-ROW-scale and map_groups pays a Python
-        # call per group; within-bucket drop_duplicates is the same
-        # arbitrary-but-single pick (duplicate rows are identical payloads
-        # by construction — this is the re-ingestion guard)
-        return group.drop_duplicates(["conv_id", "turn_idx"], keep="first").drop(columns="__b")
-
-    return (
-        deduped.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__b")
-        .map_groups(first_wins, batch_format="pandas")
-    )
-
-
 def form_fields(ds):
     """Widget JSON payloads → (conv_id, turn_idx, field_name, field_value,
     field_type) rows; unknown codes → 'Unknown Type' (playground/pdf.py:17-25)."""

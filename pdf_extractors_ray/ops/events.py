@@ -598,6 +598,22 @@ def _bloom_positions(keys: np.ndarray, i: int, m: int) -> np.ndarray:
     return _md5_hash15(keys, f"bloom{i}:") % m
 
 
+def _block_bitmap(block, m: int) -> np.ndarray:
+    """Bloom task: one build block's m-bit partial bitmap."""
+    bm = np.zeros(m // 64, dtype=np.uint64)
+    if block.num_rows == 0 or "o_custkey" not in block.column_names:
+        return bm  # empty build block (e.g. the filter matched nothing)
+    keys = block["o_custkey"].to_numpy()
+    for i in range(BLOOM_K):
+        p = _bloom_positions(keys, i, m)
+        np.bitwise_or.at(bm, p // 64, np.uint64(1) << (p % 64).astype(np.uint64))
+    return bm
+
+
+def _or_bitmaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.bitwise_or(a, b)
+
+
 def events_bloom_semijoin(sf_dir: str, priority: str = BLOOM_PRIORITY):
     """Bloom-filter semi-join: which event users are (probably) customers
     with at least one ``priority`` order, plus their event counts. The
@@ -625,7 +641,7 @@ def events_bloom_semijoin(sf_dir: str, priority: str = BLOOM_PRIORITY):
     import pyarrow.compute as pc
     import ray
 
-    from ..runtime import read_parquet_sized
+    from ..runtime import read_parquet_sized, remote_fn
     from .common import bucketed_group_agg, grouped_sums
 
     orders = read_parquet_sized(
@@ -645,25 +661,11 @@ def events_bloom_semijoin(sf_dir: str, priority: str = BLOOM_PRIORITY):
     n_build = distinct.count()
     m = _bloom_m(n_build)
 
-    @ray.remote
-    def block_bitmap(block, m_: int) -> np.ndarray:
-        bm = np.zeros(m_ // 64, dtype=np.uint64)
-        if block.num_rows == 0 or "o_custkey" not in block.column_names:
-            return bm  # empty build block (e.g. the filter matched nothing)
-        keys = block["o_custkey"].to_numpy()
-        for i in range(BLOOM_K):
-            p = _bloom_positions(keys, i, m_)
-            np.bitwise_or.at(bm, p // 64, np.uint64(1) << (p % 64).astype(np.uint64))
-        return bm
-
-    @ray.remote
-    def or_bitmaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.bitwise_or(a, b)
-
-    refs = [block_bitmap.remote(r, m) for r in distinct.to_arrow_refs()]
+    block_task, or_task = remote_fn(_block_bitmap), remote_fn(_or_bitmaps)
+    refs = [block_task.remote(r, m) for r in distinct.to_arrow_refs()]
     while len(refs) > 1:  # binary tree: depth log2(blocks)
         refs = [
-            or_bitmaps.remote(refs[j], refs[j + 1]) if j + 1 < len(refs) else refs[j]
+            or_task.remote(refs[j], refs[j + 1]) if j + 1 < len(refs) else refs[j]
             for j in range(0, len(refs), 2)
         ]
     bitmap = ray.get(refs[0]) if refs else np.zeros(m // 64, dtype=np.uint64)

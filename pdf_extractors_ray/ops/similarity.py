@@ -142,6 +142,36 @@ ORDER BY query_id, rank
 """
 
 
+def _score_block_pair(left, right, diagonal: bool, threshold_ppm: int):
+    """Block-pair task: one matmul of two normalized blocks → the pairs at
+    or above ``threshold_ppm``, as ``a < b``."""
+    import pyarrow as pa
+
+    empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
+                      "sim_ppm": pa.array([], pa.int64())})
+    if len(left) == 0 or len(right) == 0:
+        return empty
+    li = np.asarray(left["vec_id"], dtype=np.int64)
+    ri = np.asarray(right["vec_id"], dtype=np.int64)
+    lm = np.stack([np.asarray(v, dtype=np.float64) for v in left["embedding"].to_pylist()])
+    rm = np.stack([np.asarray(v, dtype=np.float64) for v in right["embedding"].to_pylist()])
+    sim_ppm = np.floor(lm @ rm.T * 1e6 + 0.5).astype(np.int64)
+    ii, jj = np.nonzero(sim_ppm >= threshold_ppm)
+    a, b, v = li[ii], ri[jj], sim_ppm[ii, jj]
+    keep = a < b  # canonical orientation; drops self and mirrors
+    if not diagonal:
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        a, b = lo, hi
+        keep = lo < hi
+    return pa.table(
+        {
+            "a": pa.array(a[keep], pa.int64()),
+            "b": pa.array(b[keep], pa.int64()),
+            "sim_ppm": pa.array(v[keep], pa.int64()),
+        }
+    )
+
+
 def emb_dup_pairs(sf_dir: str, threshold_ppm: int = 400_000):
     """Embedding-cosine near-duplicate pairs (exact similarity join, a < b).
 
@@ -154,8 +184,9 @@ def emb_dup_pairs(sf_dir: str, threshold_ppm: int = 400_000):
     materialization of the corpus. Only the (tiny) surviving pairs are
     gathered. The sub-quadratic approximate path is ``ann_lsh``/MinHash.
     """
-    import ray
     import ray.data as rd
+
+    from ..runtime import remote_fn
 
     ds = _emb(sf_dir, columns=["vec_id", "embedding"])
 
@@ -173,40 +204,13 @@ def emb_dup_pairs(sf_dir: str, threshold_ppm: int = 400_000):
     n_blocks = max(1, -(-nbytes // (64 << 20)))
     blocks = ds.map_batches(normalize, batch_format="pandas").repartition(n_blocks).to_arrow_refs()
 
-    @ray.remote
-    def score_block_pair(left, right, diagonal: bool):
-        import pyarrow as pa
-
-        empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                          "sim_ppm": pa.array([], pa.int64())})
-        if len(left) == 0 or len(right) == 0:
-            return empty
-        li = np.asarray(left["vec_id"], dtype=np.int64)
-        ri = np.asarray(right["vec_id"], dtype=np.int64)
-        lm = np.stack([np.asarray(v, dtype=np.float64) for v in left["embedding"].to_pylist()])
-        rm = np.stack([np.asarray(v, dtype=np.float64) for v in right["embedding"].to_pylist()])
-        sim_ppm = np.floor(lm @ rm.T * 1e6 + 0.5).astype(np.int64)
-        ii, jj = np.nonzero(sim_ppm >= threshold_ppm)
-        a, b, v = li[ii], ri[jj], sim_ppm[ii, jj]
-        keep = a < b  # canonical orientation; drops self and mirrors
-        if not diagonal:
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            a, b = lo, hi
-            keep = lo < hi
-        return pa.table(
-            {
-                "a": pa.array(a[keep], pa.int64()),
-                "b": pa.array(b[keep], pa.int64()),
-                "sim_ppm": pa.array(v[keep], pa.int64()),
-            }
-        )
-
     # surviving pairs land in a Dataset straight from the object store
     # (from_arrow_refs) — the driver never gathers the pair tables
+    score_task = remote_fn(_score_block_pair)
     refs = []
     for i in range(len(blocks)):
         for j in range(i, len(blocks)):
-            refs.append(score_block_pair.remote(blocks[i], blocks[j], i == j))
+            refs.append(score_task.remote(blocks[i], blocks[j], i == j, threshold_ppm))
     return rd.from_arrow_refs(refs).sort(["a", "b"])
 
 
@@ -1268,15 +1272,6 @@ def zorder_key(q: np.ndarray) -> np.ndarray:
         for d in range(ZORDER_DIMS):
             z |= ((q[:, d] >> b) & 1) << (ZORDER_DIMS * b + (ZORDER_DIMS - 1 - d))
     return z
-
-
-def zorder_decode(z: np.ndarray) -> np.ndarray:
-    """Inverse interleave (tests): zkey → (n × ZORDER_DIMS) cells."""
-    q = np.zeros((len(z), ZORDER_DIMS), dtype=np.int64)
-    for b in range(ZORDER_BITS):
-        for d in range(ZORDER_DIMS):
-            q[:, d] |= ((z >> (ZORDER_DIMS * b + (ZORDER_DIMS - 1 - d))) & 1) << b
-    return q
 
 
 def emb_zorder(sf_dir: str):

@@ -38,29 +38,6 @@ def bin_column(x0: float, header: list[tuple[float, str]]) -> str:
     return prev
 
 
-def group_headings(boxes: list[dict], x_delta: float = 20.0) -> list[str]:
-    """Positional heading merge (ffiec-census.py:103-150 ``check_font`` /
-    ``part_of_same_heading``): walk boxes in order, concatenating text while
-    the x-coordinate step back stays within ``x_delta``; a larger leftward
-    jump closes the current heading. The reference keeps this as a debug
-    path; exposed here as a pure per-turn function (M32)."""
-    headings: list[str] = []
-    current = ""
-    prev_x: float | None = None
-    for box in boxes:
-        x = float(box.get("x0", 0.0))
-        if prev_x is None:
-            prev_x = x
-        if prev_x - x > x_delta:  # new heading (:145-150)
-            headings.append(current)
-            current = ""
-            prev_x = x
-        current += str(box.get("text", ""))
-    if current:
-        headings.append(current)
-    return headings
-
-
 def extract_layout_conv(texts: list[str], turn_idxs: list[int]) -> list[dict]:
     """Bin one conversation's word boxes into header columns."""
     rows: list[dict] = []

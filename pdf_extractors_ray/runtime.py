@@ -2,9 +2,9 @@
 
 ``tune_data_context()`` turns off Ray Data's progress bars and sets
 nothing else: the shuffles keep Ray's default sort-based exchange, and
-block counts are sized where a read feeds one (``sized_num_blocks``,
-``shuffle_num_blocks``). Idempotent; callable from any pipeline entry (the
-driver owns ``ray.init`` — this only touches ``DataContext``).
+block counts are sized where a read feeds one (``sized_num_blocks``).
+Idempotent; callable from any pipeline entry (the driver owns
+``ray.init`` — this only touches ``DataContext``).
 ``remote_fn`` builds each module-level function's Ray remote function once.
 """
 
@@ -36,7 +36,7 @@ def remote_fn(fn):
 
 def tune_data_context() -> None:
     """Measured choice (BASELINE.md): the default pull-based sort shuffle
-    with COARSE map-side blocks (see ``shuffle_num_blocks``) beats hash
+    with COARSE map-side blocks (see ``sized_num_blocks``) beats hash
     shuffle here — hash aggregator actors go latency-bound on many small
     block pushes, and 200-way default parallelism drowns small CPU budgets
     in actor startup. So the only global knob set is quiet progress bars;
@@ -90,12 +90,13 @@ def read_parquet_sized(path: str, columns=None, floor_bytes: int = 2 << 20, **kw
 
 
 def shuffle_num_blocks(num_cpus: int | None = None) -> int:
-    """Map-side shard count of the all-family extract engine
-    (``state.lineage.partitioned_extract_all_tasks``), mirrored by
-    perfbench's traced replay: ~1 per CPU (min 16). The conversation key
-    exchange sizes its shards by itself (``stages.fold.parquet_shards``).
+    """Shard count of perfbench's serial traced replay of the extract
+    engine: ~1 per CPU (min 16). No package path uses it: the engine and
+    the conversation folds take their shards from
+    ``stages.fold.parquet_shards``.
 
-    Measured on the bench corpus: 16 blocks at 8 CPUs / 32 at 32 CPUs cut
-    the shuffle wall 2x vs fine-grained blocks (fewer, larger exchange
-    chunks; the shuffle is latency- not bandwidth-bound locally)."""
+    Measured on the bench corpus when the engine used it: 16 blocks at 8
+    CPUs / 32 at 32 CPUs cut the shuffle wall 2x vs fine-grained blocks
+    (fewer, larger exchange chunks; the shuffle is latency- not
+    bandwidth-bound locally)."""
     return max(16, num_cpus or _cluster_cpus())

@@ -29,10 +29,11 @@ directory keyed by conv_id, cut by ``parquet_shards`` into one contiguous
 run of the sorted files per cluster CPU (more for large inputs), so a
 range's rows arrive in file order at any shard count. Its sample, map and
 fold tasks are Ray remote functions built once per session
-(``runtime.remote_fn``). The all-family extract engine
-(``state/lineage.partitioned_extract_all_tasks``) exchanges a hashed
-``part_id`` on Ray tasks instead, because its partitions are the
-checkpoint unit.
+(``runtime.remote_fn``). The checkpointed all-family extract
+(``state/lineage.partitioned_extract_all_tasks``) runs on the same map and
+fold waves (``range_exchange``), keyed by its hashed ``part_id``: part ids
+are a known dense domain, so it cuts the ranges itself and skips the
+sample wave.
 
 Each family fold returns a ``pyarrow.Table`` built against the family's
 fixed schema so empty ranges unify cleanly and list columns stay native
@@ -266,6 +267,8 @@ def key_exchange(shards: list, key: str, frame_fn, load=_as_table, nbytes: int |
     2. one map task per shard loads it and emits one table per range;
     3. one fold task per range runs ``frame_fn`` over the whole range.
 
+    Waves 2 and 3 are ``range_exchange``.
+
     A shard is an Arrow table or an object ref to one, or whatever
     ``load(shard, key_only)`` turns into one (``key_only`` lets a sample
     read less); an empty shard may carry no columns. The caller sizes the
@@ -289,12 +292,23 @@ def key_exchange(shards: list, key: str, frame_fn, load=_as_table, nbytes: int |
         nbytes = sum(b for _s, _n, b in sampled)
     n_groups = _n_groups(sum(n for _s, n in samples), nbytes, _cluster_cpus(), per_cpu=1)
     bounds = _range_bounds(samples, n_groups) if samples else np.array([], dtype=object)
+    return range_exchange(shards, key, bounds, frame_fn, load)
+
+
+def range_exchange(shards: list, key: str, bounds: np.ndarray, frame_fn, load=_as_table,
+                   **fold_options):
+    """The map and fold waves of ``key_exchange``, given the ascending range
+    ``bounds`` (range ``g`` holds the keys in ``[bounds[g-1], bounds[g])``;
+    null keys go to range 0) → one fold output's object ref per range, in
+    range order. ``fold_options`` go to the fold task's ``.options()``: the
+    checkpointed extract retries its idempotent publishes on exceptions,
+    the conversation ops keep Ray's defaults."""
     n_out = len(bounds) + 1
     map_task = remote_fn(_key_map).options(num_returns=n_out)
     map_refs = [map_task.remote(load, sh, key, bounds) for sh in shards]
     if n_out == 1:
         map_refs = [[r] for r in map_refs]
-    fold_task = remote_fn(_key_fold)
+    fold_task = remote_fn(_key_fold).options(**fold_options)
     return [fold_task.remote(frame_fn, *[refs[g] for refs in map_refs]) for g in range(n_out)]
 
 

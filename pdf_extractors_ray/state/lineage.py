@@ -14,11 +14,12 @@ Design (SURVEY.md §4.2):
   output rows, extraction counters, content hashes) is written last — one
   sidecar per partition, not per block, so 10^12-turn runs don't produce a
   small-file storm (SURVEY.md §7.5 #7);
-- a GROUP of contiguous pending partitions is the unit of scheduling and
-  exchange on the task engine (``partitioned_extract_all_tasks``): one fold
-  task and one shard→fold object per group, so small runs don't pay Ray's
-  per-task and per-object overhead once per partition, while at the
-  design point a group degenerates to one partition (``_plan_groups``);
+- a RANGE of contiguous pending part ids is the unit of scheduling and
+  exchange (``partitioned_extract_all_tasks``), on the same map and fold
+  waves as every conversation fold (``stages.fold.range_exchange``): one
+  fold task per range and one map→fold object per shard and range, so
+  small runs don't pay Ray's per-task and per-object overhead once per
+  partition, while at the design point a range holds one partition;
 - resume: completed part ids are read from the sidecars and their rows are
   dropped by a vectorized filter BEFORE the exchange — finished partitions
   cost one pruned scan, zero recompute, zero rewrite.
@@ -32,7 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from itertools import accumulate, groupby
+from functools import partial
+from itertools import groupby
 
 import numpy as np
 import pandas as pd
@@ -47,7 +49,16 @@ from ..oracle import invoice as _invoice
 from ..oracle import layout as _layout
 from ..oracle import table as _table
 from ..pipelines import schemas
-from ..stages.fold import conv_runs, fold_runs, ordered_column, rows_to_table, turn_texts
+from ..stages.fold import (
+    _ParquetLoad,
+    conv_runs,
+    fold_runs,
+    ordered_column,
+    parquet_shards,
+    range_exchange,
+    rows_to_table,
+    turn_texts,
+)
 
 FOLDS = {
     "catalog": (_catalog.extract_catalog_conv, schemas.CATALOG_SCHEMA),
@@ -178,6 +189,12 @@ def _write_sidecar(out_root: str, part_id: int, sidecar: dict) -> None:
     os.replace(tmp, os.path.join(ldir, f"part-{part_id}.json"))
 
 
+_METRICS_SCHEMA = pa.schema([
+    ("part_id", pa.int64()), ("n_turns", pa.int64()), ("n_convs", pa.int64()),
+    ("n_rows", pa.int64()), ("content_hash", pa.string()), ("resumed", pa.bool_()),
+])
+
+
 def _metrics_row(part_id: int, n_turns: int, families: dict, resumed: bool) -> dict:
     """One all-family metrics row from a sidecar's ``families`` map."""
     fams = families.values()
@@ -273,8 +290,9 @@ def fold_partition(part: pa.Table, families: dict | None = None, derive_census: 
 
 
 def _split_by_part(tbl: pa.Table, n_parts: int) -> list[pa.Table]:
-    """Order-stable split of a batch into its n_parts slices (map side of
-    the exchange). Empty slice for absent partitions."""
+    """Order-stable split of a table into its n_parts slices: a range's
+    partitions in the engine's fold, the map side of ``_shard_map``. Empty
+    slice for absent partitions."""
     part = tbl["part_id"].to_numpy(zero_copy_only=False)
     order = np.argsort(part, kind="stable")
     tbl = tbl.take(pa.array(order))
@@ -284,6 +302,9 @@ def _split_by_part(tbl: pa.Table, n_parts: int) -> list[pa.Table]:
 
 
 def _shard_map(files: list[str], n_parts: int, done: frozenset) -> list[pa.Table]:
+    """Serial reference of the engine's map side: ``files`` read, part ids
+    assigned, ``done`` dropped → one slice per partition (perfbench's
+    replay indexes it by part id)."""
     tbl = pa.concat_tables(
         pq.read_table(f, columns=["conv_id", "turn_idx", "text", "tool"]) for f in files
     )
@@ -292,8 +313,9 @@ def _shard_map(files: list[str], n_parts: int, done: frozenset) -> list[pa.Table
 
 
 def _fold_and_write(out_root: str, part_id: int, *slices) -> dict:
-    """Fold one partition from its per-shard slices and publish it: one
-    file per family, then the sidecar. Returns its metrics row."""
+    """Fold one partition from its slices, concatenated in order, and
+    publish it: one file per family, then the sidecar. Returns its metrics
+    row."""
     nonempty = [t for t in slices if t.num_rows]
     group = pa.concat_tables(nonempty) if nonempty else None
     if group is None or group.num_rows == 0:
@@ -312,11 +334,11 @@ def _fold_and_write(out_root: str, part_id: int, *slices) -> dict:
     return _metrics_row(part_id, int(group.num_rows), sidecar["families"], resumed=False)
 
 
-# Fold tasks per cluster CPU while the pending input is small enough for
-# partitions to share a task. Swept over 1, 2, 4, 8, 16 on a 2-CPU local Ray
-# session on a 4-core VM (600 convs / 256 parts and 3,000 convs / 64 parts):
-# 1-8 within noise of each other, 16 clearly slower, 4 the best median on
-# the bulk corpus.
+# Ranges (fold tasks) per cluster CPU while the pending input is small
+# enough for partitions to share a task. Swept over 1, 2, 4, 8, 16 on a
+# 2-CPU local Ray session on a 4-core VM (600 convs / 256 parts and 3,000
+# convs / 64 parts): 1-8 within noise of each other, 16 clearly slower, 4
+# the best median on the bulk corpus.
 _GROUPS_PER_CPU = 4
 
 
@@ -326,126 +348,76 @@ def _n_groups(n_items: int, nbytes: int, cpus: int, per_cpu: int = _GROUPS_PER_C
     return min(n_items, max(per_cpu * cpus, -(-nbytes // _TARGET_PART_BYTES)))
 
 
-def _plan_groups(pending: list[int], pending_bytes: int, cpus: int) -> list[list[int]]:
-    """Split the sorted pending part ids into ``_n_groups`` contiguous groups
-    of near-equal size, one fold task each. At the design point ``n_parts``
-    is itself ``ceil(bytes / target)``, so every group holds one partition
-    and the per-task working set stays bounded; at small scale partitions
-    share a task instead of each paying Ray's per-task and per-object
-    overhead."""
-    if not pending:
-        return []
-    n_tasks = _n_groups(len(pending), pending_bytes, cpus)
-    size, extra = divmod(len(pending), n_tasks)
-    groups, lo = [], 0
-    for g in range(n_tasks):
-        hi = lo + size + (g < extra)
-        groups.append(pending[lo:hi])
-        lo = hi
-    return groups
-
-
-def _map_shard(shard_map, files: list[str], n_parts: int, done: frozenset,
-               groups: list[list[int]]):
-    """Shard map task: one exchange object per group — the group's
-    per-partition slices as ONE contiguous table plus their row counts.
-    One table, not a list of slices: Ray serializes every Arrow column
-    chunk through a Python-level reducer, which cost more than the fold
-    itself at 8 shards × 256 partitions."""
-    slices = shard_map(files, n_parts, done)
-    out = []
-    for g in groups:
-        parts = [slices[p] for p in g]
-        out.append((pa.concat_tables(parts).combine_chunks(), [t.num_rows for t in parts]))
-    return out if len(out) > 1 else out[0]  # num_returns=1 stores the bare value
-
-
-def _fold_group(fold_and_write, out_root: str, parts: list[int], *per_shard) -> list[dict]:
-    """Fold task: publish each partition of one group, in order, from the
-    same per-shard slices ``_shard_map`` produced.
-
-    The per-shard group objects arrive as varargs so Ray resolves every
-    ObjectRef BEFORE scheduling this task — a task that ray.get()s inside
-    would be scheduled early, block holding a worker, and starve the map
-    stage."""
-    cuts = [list(accumulate(counts, initial=0)) for _tbl, counts in per_shard]
-    rows = []
-    for i, p in enumerate(parts):
-        slices = [tbl.slice(c[i], c[i + 1] - c[i]) for (tbl, _counts), c in zip(per_shard, cuts)]
-        rows.append(fold_and_write(out_root, p, *slices))
-    return rows
+def _fold_range(fold_and_write, out_root: str, n_parts: int, rng: pa.Table) -> pa.Table:
+    """Frame of one part_id range: fold and publish each of its non-empty
+    partitions, in id order (``fold_and_write``) → their metrics rows."""
+    rows = [fold_and_write(out_root, p, part)
+            for p, part in enumerate(_split_by_part(rng, n_parts)) if part.num_rows]
+    return pa.Table.from_pylist(rows, schema=_METRICS_SCHEMA)
 
 
 def partitioned_extract_all_tasks(path: str, out_root: str, n_parts: int | None = None):
-    """ALL families, one read, one exchange expressed with Ray tasks — the
-    production/headline path. Returns the per-partition metrics DataFrame.
+    """ALL families, one read, one exchange — the production/headline path.
+    Returns the per-partition metrics DataFrame.
 
     The partition is the unit of output, checkpoint and retry-safe publish
     (``_fold_and_write``: same files, sidecars and hashes however the run
-    is scheduled). A group of contiguous pending partitions is the unit of
-    scheduling and exchange (``_plan_groups``):
+    is scheduled). The exchange is the conversation folds' own
+    (``stages.fold.range_exchange``), keyed by ``part_id``:
 
-        shard map tasks (read files → assign part_id → split into n_parts
-        slices → one object per group) → one fold task per group, which
-        folds and publishes its partitions one after another from the
-        n_shards group objects it consumes from the object store.
+        one map task per contiguous run of the sorted files
+        (``parquet_shards``: read → assign part_id → split by range) →
+        one fold task per range of pending part ids, which folds and
+        publishes its partitions one after another, in id order.
 
-    So a run makes ``n_shards × n_groups`` exchange objects and ``n_groups``
-    fold tasks instead of ``n_shards × n_parts`` and ``n_parts``.
+    Part ids are a known dense domain, so there is no sample wave: the
+    pending ids are cut into ``_n_groups`` contiguous ranges of near-equal
+    size. A run makes ``n_shards × n_ranges`` exchange objects and
+    ``n_ranges`` fold tasks. A partition's rows reach its fold in file
+    order, so its bytes do not depend on the cluster width, even where
+    one ``(conv_id, turn_idx)`` appears in two files.
 
     Why not a Ray Data ``groupby(part_id)``: its sort-based groupby is a
     full barrier (boundary sampling; no fold starts until every reduce slot
     is final), and the Dataset API cannot express a key exchange whose
-    reduce side starts per task. When both existed, this path measured
-    ~1.4x faster at 8 CPUs and ~1.6x at 32 CPUs than the groupby one on the
-    bench corpus, with byte-identical partition files.
+    reduce side starts per task. When both existed, a task exchange
+    measured ~1.4x faster at 8 CPUs and ~1.6x at 32 CPUs than the groupby
+    one on the bench corpus, with byte-identical partition files.
 
-    Resume: partitions with sidecars are filtered out in the shard map and
-    get no fold task; their metrics rows come from the sidecars.
+    Resume: partitions with sidecars are filtered out in the map and get
+    no range; their metrics rows come from the sidecars.
     """
     import ray
 
-    from ..runtime import _cluster_cpus, remote_fn, shuffle_num_blocks
+    from ..runtime import _cluster_cpus
 
-    files = _list_parquet(path)
+    shards = parquet_shards(path)
+    files = [f for sh in shards for f in sh]
     n_parts = _resolve_n_parts(out_root, files, n_parts)
     done = completed_parts(out_root)
     pending = [p for p in range(n_parts) if p not in done]
-    # md5(conv_id) spreads input bytes evenly over the partitions
-    pending_bytes = sum(os.path.getsize(f) for f in files) * len(pending) // n_parts
-    groups = _plan_groups(pending, pending_bytes, _cluster_cpus())
 
-    fresh = pd.DataFrame(
-        columns=["part_id", "n_turns", "n_convs", "n_rows", "content_hash", "resumed"]
-    )
-    if groups:
-        n_shards = min(len(files), shuffle_num_blocks())
-        shards = [list(files[i::n_shards]) for i in range(n_shards)]
-        map_task = remote_fn(_map_shard).options(num_returns=len(groups))
+    fresh = pd.DataFrame(columns=_METRICS_SCHEMA.names)
+    if pending:
+        # md5(conv_id) spreads input bytes evenly over the partitions
+        pending_bytes = sum(os.path.getsize(f) for f in files) * len(pending) // n_parts
+        n = _n_groups(len(pending), pending_bytes, _cluster_cpus())
+        bounds = np.array([pending[len(pending) * g // n] for g in range(1, n)], dtype=np.int64)
+        load = _ParquetLoad(["conv_id", "turn_idx", "text", "tool"], "part_id",
+                            pre=partial(append_part_id, n_parts=n_parts, done=done or None))
+        # ``append_part_id`` and ``_fold_and_write`` are looked up HERE and
+        # shipped with the tasks, so the workers run whatever this module
+        # binds to them at call time.
         # retry_exceptions: a fold that dies with a Python exception
         # (transient FS error, allocator failure) retries like worker death
         # does — safe because every publish is idempotent by construction:
         # family files are deterministic bytes landed via atomic os.replace,
         # each sidecar is written LAST, and metrics come only from the one
-        # successful return, so a retried group can neither double-write nor
+        # successful return, so a retried range can neither double-write nor
         # double-count (pinned by
         # tests/test_fault_tolerance.py::test_fold_task_poison_retries_exactly)
-        fold_task = remote_fn(_fold_group).options(retry_exceptions=True, max_retries=4)
-        # the per-partition bodies are looked up HERE and shipped as task
-        # arguments, so the workers run whatever this module binds to
-        # ``_shard_map``/``_fold_and_write`` at call time
-        obj_refs = [
-            map_task.remote(_shard_map, shard, n_parts, frozenset(done), groups)
-            for shard in shards
-        ]
-        if len(groups) == 1:
-            obj_refs = [[r] for r in obj_refs]
-        fold_refs = [
-            fold_task.remote(_fold_and_write, out_root, g, *[refs[k] for refs in obj_refs])
-            for k, g in enumerate(groups)
-        ]
-        rows = [row for rows in ray.get(fold_refs) for row in rows]
-        fresh = pd.DataFrame(rows)
-        fresh = fresh[fresh["n_turns"] > 0]
+        refs = range_exchange(shards, "part_id", bounds,
+                              partial(_fold_range, _fold_and_write, out_root, n_parts), load,
+                              retry_exceptions=True, max_retries=4)
+        fresh = pa.concat_tables(ray.get(refs)).to_pandas()
     return _with_resumed(fresh, out_root, done)
-

@@ -207,7 +207,8 @@ _CATALOG_CHUNKS = [
 @given(st.lists(st.sampled_from(_CATALOG_CHUNKS), max_size=16), st.integers(1, 6))
 # an Oil line before the banner opens no gate
 @example([["Oil"], [oc.BANNER], _RECORD], 1)
-# the (True, True) tail raises, but the conversation never opens the Oil gate
+# an "(Electric/Gas)" line after a model but no engine; the conversation
+# never opens the Oil gate
 @example([[oc.BANNER], ["SAAB", "2019\xa0(cont'd)"], ["2.4L V6"], ["(Electric/Gas)"]], 5)
 # a tail's last line fires only because the next window starts with a year
 @example([[oc.BANNER, "Oil"], _RECORD, ["SAAB"], ["2003"], _RECORD[2:]], 8)
@@ -217,24 +218,13 @@ _CATALOG_CHUNKS = [
 def test_catalog_windows_stitch_to_the_fold(chunks, window):
     """Every window decomposed on its own, then stitched in order, equals
     the whole-conversation machine, whatever gates each window enters
-    with. Where the machine raises (an "(Electric/Gas)" line after a model
-    but no engine), the stitch raises too, and a window never raises for
-    an entry state the conversation does not reach."""
+    with."""
     lines = [line for chunk in chunks for line in chunk]
     idxs = list(range(len(lines)))
 
-    def stitched():
-        payloads = [json.dumps(_catalog_window(lines[lo:lo + window], idxs[lo:lo + window]))
-                    for lo in range(0, len(lines), window)]
-        return _stitch_catalog(payloads, [])
-
-    def outcome(fn):
-        try:
-            return fn()
-        except TypeError:
-            return TypeError
-
-    assert outcome(stitched) == outcome(lambda: oc.extract_catalog_conv(lines, idxs))
+    payloads = [json.dumps(_catalog_window(lines[lo:lo + window], idxs[lo:lo + window]))
+                for lo in range(0, len(lines), window)]
+    assert _stitch_catalog(payloads, []) == oc.extract_catalog_conv(lines, idxs)
 
 
 def test_cogroup_join_carries_large_ints_exactly(ray_session):

@@ -62,9 +62,3 @@ def test_merge_single_file(ray_session, small_corpus_dir, tmp_path):
     files = [f for f in os.listdir(out) if f.endswith(".parquet")]
     assert len(files) == 1
 
-
-def test_dedup_turns_idempotent_reingest(ray_session, small_corpus_dir):
-    ds = extract.family_dataset(small_corpus_dir, "grid")
-    doubled = corpus.union_corpora(ds, extract.family_dataset(small_corpus_dir, "grid"))
-    deduped = corpus.dedup_turns(doubled)
-    assert deduped.count() == ds.count()

@@ -101,8 +101,9 @@ def test_shuffle_output_stable_under_crash(ray_session, tmp_path):
 
 
 def test_shard_map_crash_mid_exchange(ray_session, small_corpus_dir, tmp_path, monkeypatch):
-    """Kill a SHARD-MAP task mid-exchange (worker death, not an
-    exception): Ray lineage re-executes the map, every downstream fold
+    """Kill a SHARD-MAP task mid-exchange, in its ``append_part_id``
+    (worker death, not an exception): Ray lineage re-executes the map,
+    every downstream fold
     still sees exactly one copy of each slice, and the partition outputs
     are byte-identical to the crash-free run with no double-counted
     sidecar metrics — the failure mode at the level where 10^12-turn
@@ -113,16 +114,16 @@ def test_shard_map_crash_mid_exchange(ray_session, small_corpus_dir, tmp_path, m
     m_clean = lineage.partitioned_extract_all_tasks(small_corpus_dir, clean_out, n_parts=8)
 
     marker = str(tmp_path / "shard_died")
-    real = lineage._shard_map
+    real = lineage.append_part_id
 
-    def flaky_shard_map(files, n_parts, done):
+    def flaky_append_part_id(batch, n_parts, done=None):
         if not os.path.exists(marker):
             with open(marker, "w") as f:
                 f.write("x")
             os._exit(1)  # SIGKILL-class death mid-exchange
-        return real(files, n_parts, done)
+        return real(batch, n_parts, done)
 
-    monkeypatch.setattr(lineage, "_shard_map", flaky_shard_map)
+    monkeypatch.setattr(lineage, "append_part_id", flaky_append_part_id)
     out = str(tmp_path / "inj_shard")
     m = lineage.partitioned_extract_all_tasks(small_corpus_dir, out, n_parts=8)
     assert os.path.exists(marker)  # the crash really fired

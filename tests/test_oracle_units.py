@@ -251,16 +251,6 @@ def test_grid_cleanup():
     assert rows[0]["c0"] == "QTY"  # header row exempt from digit-strip
 
 
-def test_heading_grouping_by_x_delta():
-    boxes = [
-        {"text": "FFIEC ", "x0": 100.0},
-        {"text": "Census Report", "x0": 110.0},
-        {"text": "Section 1", "x0": 30.0},  # leftward jump > 20 → new heading
-        {"text": " cont", "x0": 35.0},
-    ]
-    assert layout.group_headings(boxes) == ["FFIEC Census Report", "Section 1 cont"]
-
-
 def test_household_anchor_variants():
     """Less-common anchor spellings (household.py:53,61,66)."""
     hh = census.fold_household_lines([

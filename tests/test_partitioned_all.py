@@ -2,8 +2,13 @@
 
 import os
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
+from pdf_extractors_ray import runtime
 from pdf_extractors_ray.pipelines import extract
 from pdf_extractors_ray.state import lineage
 
@@ -73,30 +78,6 @@ def test_partitioned_tasks_resume(ray_session, small_corpus_dir, tmp_path):
     assert dict(zip(m1["part_id"], m1["content_hash"])) == dict(zip(m2["part_id"], m2["content_hash"]))
 
 
-def test_plan_groups_covers_pending_in_contiguous_runs():
-    target = lineage._TARGET_PART_BYTES
-    full = list(range(256))
-    holes = [p for p in range(256) if p % 3]  # a resume leaves gaps
-    for pending in (full, holes, [7], list(range(5))):
-        for cpus in (1, 2, 4, 64, 1000):
-            groups = lineage._plan_groups(pending, 1 << 20, cpus)
-            # each pending partition exactly once, in order: every group is a
-            # contiguous run of the pending list
-            assert [p for g in groups for p in g] == pending
-            assert all(groups)
-            # never more tasks than pending partitions
-            assert len(groups) == min(len(pending), lineage._GROUPS_PER_CPU * cpus)
-            sizes = [len(g) for g in groups]
-            assert max(sizes) - min(sizes) <= 1
-    for g in lineage._plan_groups(full, 1 << 20, 2):
-        assert g == list(range(g[0], g[-1] + 1))
-    # input beyond the per-partition target: one partition per task
-    for pending in (full, holes):
-        groups = lineage._plan_groups(pending, len(pending) * (target + 1), 2)
-        assert groups == [[p] for p in pending]
-    assert lineage._plan_groups([], 1 << 40, 8) == []
-
-
 def _sidecar_hashes(out_root):
     return {
         e["part_id"]: {f: v["content_hash"] for f, v in e["families"].items()}
@@ -105,7 +86,7 @@ def _sidecar_hashes(out_root):
 
 
 def test_partitioned_tasks_resume_at_256_parts(ray_session, small_corpus_dir, tmp_path):
-    """Resume at a realistic partition count: grouped fold tasks recompute
+    """Resume at a realistic partition count: the range fold tasks recompute
     exactly the partitions whose sidecars were dropped, and every sidecar
     hash equals a serial per-partition ``_shard_map``/``_fold_and_write``
     replay."""
@@ -124,7 +105,7 @@ def test_partitioned_tasks_resume_at_256_parts(ray_session, small_corpus_dir, tm
     assert sorted(m2[m2["resumed"]]["part_id"]) == written[1::2]
     assert dict(zip(m1["part_id"], m1["content_hash"])) == dict(zip(m2["part_id"], m2["content_hash"]))
 
-    # one pending partition: a single group, one exchange object per shard
+    # one pending partition: a single range, one exchange object per shard
     os.remove(os.path.join(out, "_lineage", f"part-{dropped[0]}.json"))
     m3 = lineage.partitioned_extract_all_tasks(small_corpus_dir, out, n_parts=n_parts)
     assert list(m3[~m3["resumed"]]["part_id"]) == [dropped[0]]
@@ -135,3 +116,54 @@ def test_partitioned_tasks_resume_at_256_parts(ray_session, small_corpus_dir, tm
     for p in range(n_parts):
         lineage._fold_and_write(serial, p, slices[p])
     assert _sidecar_hashes(out) == _sidecar_hashes(serial)
+
+
+def _tied_corpus(base: pa.Table, path, n_files: int = 34) -> str:
+    """``n_files`` files; turn 1 of a grid conversation appears twice, as
+    the same (conv_id, turn_idx), in files 1 and 16, the second copy with
+    turn 2's text. An exchange over interleaved file groups (``files[i::n]``)
+    would meet the two rows in file order at 32 groups and the other way
+    round at 16."""
+    conv = np.asarray(base["conv_id"].to_pylist(), dtype=object)
+    tidx = base["turn_idx"].to_numpy()
+    gconv = base.filter(pc.equal(base["tool"], "grid"))["conv_id"][0].as_py()
+    i1, i2 = (int(np.flatnonzero((conv == gconv) & (tidx == t))[0]) for t in (1, 2))
+    row = base.slice(i1, 1)
+    tied = row.set_column(row.schema.get_field_index("text"), "text", base["text"].slice(i2, 1))
+    rest = base.filter(pa.array(np.arange(base.num_rows) != i1))
+    cuts = np.linspace(0, rest.num_rows, n_files + 1).astype(int)
+    os.makedirs(path)
+    for f in range(n_files):
+        tbl = rest.slice(cuts[f], cuts[f + 1] - cuts[f])
+        extra = {1: row, 16: tied}.get(f)
+        pq.write_table(tbl if extra is None else pa.concat_tables([tbl, extra]),
+                       os.path.join(path, f"part-{f:02d}.parquet"))
+    return str(path)
+
+
+def _tree_bytes(root: str) -> dict[str, bytes]:
+    out = {}
+    for d, _dirs, files in os.walk(root):
+        for f in files:
+            with open(os.path.join(d, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+    return out
+
+
+def test_outputs_do_not_depend_on_cluster_width(ray_session, small_corpus_table, tmp_path,
+                                               monkeypatch):
+    """Every partition file and sidecar is byte-identical at 1, 2, 16 and
+    32 cluster CPUs, also where one (conv_id, turn_idx) has two rows in
+    two files: a partition's rows reach its fold in file order at any
+    shard count."""
+    corpus = _tied_corpus(small_corpus_table, tmp_path / "tied")
+    trees = []
+    for cpus in (1, 2, 16, 32):
+        monkeypatch.setattr(runtime, "_cluster_cpus", lambda *a, cpus=cpus, **k: cpus)
+        out = str(tmp_path / f"out-{cpus}")
+        lineage.partitioned_extract_all_tasks(corpus, out, n_parts=16)
+        trees.append(_tree_bytes(out))
+    assert any(k.startswith("grid/") for k in trees[0])
+    for tree in trees[1:]:
+        assert tree.keys() == trees[0].keys()
+        assert [k for k in tree if tree[k] != trees[0][k]] == []
